@@ -40,20 +40,42 @@ unsigned left_edge(std::vector<Interval>& intervals,
 
 }  // namespace
 
+hw::CellKind to_cell_kind(const ir::Instr& instr) {
+  using ir::Op;
+  using hw::CellKind;
+  switch (instr.op) {
+    case Op::kAdd: return CellKind::kAdd;
+    case Op::kSub: return CellKind::kSub;
+    case Op::kMul: return CellKind::kMul;
+    case Op::kDiv: return instr.type.is_signed ? CellKind::kDivS : CellKind::kDivU;
+    case Op::kRem: return instr.type.is_signed ? CellKind::kRemS : CellKind::kRemU;
+    case Op::kAnd: return CellKind::kAnd;
+    case Op::kOr: return CellKind::kOr;
+    case Op::kXor: return CellKind::kXor;
+    case Op::kShl: return CellKind::kShl;
+    case Op::kShr: return instr.type.is_signed ? CellKind::kShrS : CellKind::kShrU;
+    case Op::kEq: return CellKind::kEq;
+    case Op::kNe: return CellKind::kNe;
+    case Op::kLt: return instr.type.is_signed ? CellKind::kLtS : CellKind::kLtU;
+    case Op::kLe: return instr.type.is_signed ? CellKind::kLeS : CellKind::kLeU;
+    default: return CellKind::kConst;  // handled separately
+  }
+}
+
 Binding bind(const ir::Function& function, const Schedule& schedule) {
   Binding binding;
-  binding.fu_instance.resize(function.num_blocks());
+  binding.fu_unit.resize(function.num_blocks());
   binding.mem_port.resize(function.num_blocks());
   for (ir::BlockId b = 0; b < function.num_blocks(); ++b) {
     const std::size_t n = function.block(b).instrs.size();
-    binding.fu_instance[b].assign(n, 0);
+    binding.fu_unit[b].assign(n, 0);
     binding.mem_port[b].assign(n, 0);
   }
 
-  // Group shareable ops by (class, op kind, signedness, width): an instance
-  // is a concrete piece of hardware, so only identical operators share it.
-  using GroupKey = std::tuple<FuClass, ir::Op, bool, unsigned>;
-  std::map<GroupKey, std::vector<Interval>> groups;
+  // Group shareable ops by the (cell kind, result width) the FSMD builds
+  // their unit from: an instance is a concrete piece of hardware, so only
+  // ops that one cell can compute share it.
+  std::map<std::pair<hw::CellKind, unsigned>, std::vector<Interval>> groups;
   std::map<std::uint64_t, std::vector<Interval>> mem_accesses;
 
   for (ir::BlockId b = 0; b < function.num_blocks(); ++b) {
@@ -69,22 +91,26 @@ Binding bind(const ir::Function& function, const Schedule& schedule) {
       }
       const FuClass fu = fu_class_of(instr.op);
       if (fu == FuClass::kMultiplier || fu == FuClass::kDivider) {
-        groups[{fu, instr.op, instr.type.is_signed, instr.type.bits}].push_back(
-            {slot.start, slot.end, b, i});
+        groups[{to_cell_kind(instr), function.reg_type(instr.dest).bits}]
+            .push_back({slot.start, slot.end, b, i});
       }
     }
   }
 
   for (auto& [key, intervals] : groups) {
+    const auto first = static_cast<unsigned>(binding.units.size());
     const unsigned instances = left_edge(
         intervals, [&](const Interval& interval, unsigned instance) {
-          binding.fu_instance[interval.block][interval.index] = instance;
+          binding.fu_unit[interval.block][interval.index] = first + instance;
         });
+    for (unsigned instance = 0; instance < instances; ++instance) {
+      binding.units.push_back({key.first, key.second, instance});
+    }
     if (intervals.size() > instances) {
       binding.stats.shared_ops +=
           static_cast<unsigned>(intervals.size()) - instances;
     }
-    if (std::get<0>(key) == FuClass::kMultiplier) {
+    if (key.first == hw::CellKind::kMul) {
       binding.stats.multiplier_instances += instances;
     } else {
       binding.stats.divider_instances += instances;

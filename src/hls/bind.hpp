@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "hls/schedule.hpp"
+#include "hw/netlist.hpp"
 #include "ir/ir.hpp"
 
 namespace hermes::hls {
@@ -27,10 +28,26 @@ struct BindingStats {
   unsigned merged_registers = 0;   ///< vregs folded into another register
 };
 
-/// Result of binding: per block, per instruction, the FU instance / memory
+/// The netlist cell an arithmetic or compare op is built from. Shared
+/// functional units are keyed by it (plus the result width), so binding and
+/// the FSMD generator agree on which ops may share one piece of hardware.
+/// kMul carries no signedness: the low w bits of a w-bit product do not
+/// depend on it.
+hw::CellKind to_cell_kind(const ir::Instr& instr);
+
+/// One shared functional-unit instance: a single `kind` cell of `width` bits.
+struct FuUnit {
+  hw::CellKind kind = hw::CellKind::kMul;
+  unsigned width = 0;
+  unsigned instance = 0;  ///< index among the units of one (kind, width)
+};
+
+/// Result of binding: per block, per instruction, the shared unit / memory
 /// port index (only meaningful for ops of a shared class).
 struct Binding {
-  std::vector<std::vector<unsigned>> fu_instance;  ///< same shape as schedule slots
+  /// Index into `units`; same shape as schedule slots.
+  std::vector<std::vector<unsigned>> fu_unit;
+  std::vector<FuUnit> units;  ///< ordered by (kind, width, instance)
   std::vector<std::vector<unsigned>> mem_port;     ///< port index per load/store
   std::map<std::uint64_t, unsigned> ports_per_memory;
   /// Register binding: canonical physical register for each vreg (identity

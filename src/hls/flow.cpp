@@ -46,19 +46,9 @@ Result<ScheduledDesign> run_flow_schedule(std::string_view source,
 Result<FlowResult> finish_flow(ScheduledDesign design) {
   auto fsmd = generate_fsmd(design.function, design.schedule, design.binding);
   if (!fsmd.ok()) return fsmd.status();
-
-  FlowResult result;
-  result.function = std::move(design.function);
-  result.cdfg = design.cdfg;
-  result.passes = std::move(design.passes);
-  result.schedule = std::move(design.schedule);
-  result.binding = std::move(design.binding);
-  result.ir_instrs_before = design.ir_instrs_before;
-  result.ir_instrs_after = design.ir_instrs_after;
-  result.fsmd = fsmd.take();
-  result.fsm_states = result.fsmd.num_states;
-  result.verilog = hw::emit_verilog(result.fsmd.module);
-  return result;
+  std::string verilog = hw::emit_verilog(fsmd.value().module);
+  const unsigned states = fsmd.value().num_states;
+  return FlowResult{std::move(design), fsmd.take(), std::move(verilog), states};
 }
 
 Result<FlowResult> run_flow(std::string_view source, const FlowOptions& options) {

@@ -46,22 +46,12 @@ struct ScheduledDesign {
   ScheduledDesign() : function("<empty>") {}
 };
 
-/// Everything the flow produced, stage by stage.
-struct FlowResult {
-  ir::Function function;                 ///< optimized IR
-  ir::CdfgSummary cdfg;
-  std::vector<ir::PassReport> passes;
-  Schedule schedule;
-  Binding binding;
+/// Everything the flow produced, stage by stage: the scheduled design plus
+/// its datapath and Verilog.
+struct FlowResult : ScheduledDesign {
   FsmdResult fsmd;
   std::string verilog;
-
-  // Headline metrics.
-  std::size_t ir_instrs_before = 0;
-  std::size_t ir_instrs_after = 0;
   unsigned fsm_states = 0;
-
-  FlowResult() : function("<empty>") {}
 };
 
 /// Runs the complete flow on `source`. All stages validate their output;

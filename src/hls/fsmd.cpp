@@ -9,28 +9,6 @@
 namespace hermes::hls {
 namespace {
 
-hw::CellKind to_cell_kind(const ir::Instr& instr) {
-  using ir::Op;
-  using hw::CellKind;
-  switch (instr.op) {
-    case Op::kAdd: return CellKind::kAdd;
-    case Op::kSub: return CellKind::kSub;
-    case Op::kMul: return CellKind::kMul;
-    case Op::kDiv: return instr.type.is_signed ? CellKind::kDivS : CellKind::kDivU;
-    case Op::kRem: return instr.type.is_signed ? CellKind::kRemS : CellKind::kRemU;
-    case Op::kAnd: return CellKind::kAnd;
-    case Op::kOr: return CellKind::kOr;
-    case Op::kXor: return CellKind::kXor;
-    case Op::kShl: return CellKind::kShl;
-    case Op::kShr: return instr.type.is_signed ? CellKind::kShrS : CellKind::kShrU;
-    case Op::kEq: return CellKind::kEq;
-    case Op::kNe: return CellKind::kNe;
-    case Op::kLt: return instr.type.is_signed ? CellKind::kLtS : CellKind::kLtU;
-    case Op::kLe: return instr.type.is_signed ? CellKind::kLeS : CellKind::kLeU;
-    default: return CellKind::kConst;  // handled separately
-  }
-}
-
 class FsmdBuilder {
  public:
   FsmdBuilder(const ir::Function& function, const Schedule& schedule,
@@ -290,10 +268,7 @@ class FsmdBuilder {
           case ir::Op::kMul:
           case ir::Op::kDiv:
           case ir::Op::kRem:
-            shared_fu_ops_[{to_cell_kind(instr),
-                            f_.reg_type(instr.dest).bits,
-                            binding_.fu_instance[b][i]}]
-                .push_back({b, i});
+            unit_ops_[binding_.fu_unit[b][i]].push_back({b, i});
             break;
           default: {
             // Plain dedicated binary cell.
@@ -320,8 +295,9 @@ class FsmdBuilder {
   }
 
   void build_shared_fus() {
-    for (const auto& [key, ops] : shared_fu_ops_) {
-      const auto& [kind, width, instance] = key;
+    for (unsigned u = 0; u < binding_.units.size(); ++u) {
+      const auto& [kind, width, instance] = binding_.units[u];
+      const std::vector<InstrRef>& ops = unit_ops_[u];
       // Operand muxes selected by each op's occupation interval.
       hw::WireId a = module_.make_const(0, width);
       hw::WireId c = module_.make_const(0, width);
@@ -580,8 +556,7 @@ class FsmdBuilder {
   std::map<InstrRef, hw::WireId> result_wire_;
   std::map<std::pair<std::uint64_t, unsigned>, std::vector<InstrRef>>
       mem_port_accesses_;
-  std::map<std::tuple<hw::CellKind, unsigned, unsigned>, std::vector<InstrRef>>
-      shared_fu_ops_;
+  std::map<unsigned, std::vector<InstrRef>> unit_ops_;  ///< by Binding::units index
 };
 
 }  // namespace

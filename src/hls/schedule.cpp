@@ -195,7 +195,7 @@ Result<Schedule> schedule(const ir::Function& function, const TechLibrary& lib,
     // Constants-as-wires are placed implicitly.
     for (std::size_t i = 0; i < n; ++i) {
       if (info[i].is_const_wire) {
-        sched.slots[i] = {0, 0, 0, true, 0.0, 0};
+        sched.slots[i] = {0, 0, 0, true, 0.0};
         placed[i] = true;
         --remaining;
       }

@@ -43,7 +43,6 @@ struct InstrSlot {
   unsigned write_state = 0;  ///< state whose closing edge writes the result
   bool is_const_wire = false;///< materialized as a constant net, no state
   double chain_delay_ns = 0; ///< accumulated comb delay at this op's output
-  unsigned fu_instance = 0;  ///< filled by binding for shared-FU classes
 };
 
 struct BlockSchedule {

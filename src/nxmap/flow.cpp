@@ -52,7 +52,7 @@ Result<PackResult> pack_backend(const MapResult& map, const NxDevice& device) {
                          "packed bitstream failed self-verification: " +
                              info.status().to_string());
   }
-  result.info = info.take();
+  result.bitstream_info = info.take();
   return result;
 }
 
@@ -63,18 +63,7 @@ Result<BackendResult> run_backend(const hw::Module& module,
   if (!map.ok()) return map.status();
   auto pack = pack_backend(map.value(), device);
   if (!pack.ok()) return pack.status();
-
-  BackendResult result;
-  result.mapped = std::move(map.value().mapped);
-  result.placement = std::move(map.value().placement);
-  result.routing = std::move(map.value().routing);
-  result.timing = std::move(map.value().timing);
-  result.power = map.value().power;
-  result.route_iterations = map.value().route_iterations;
-  result.route_converged = map.value().route_converged;
-  result.bitstream = std::move(pack.value().bitstream);
-  result.bitstream_info = std::move(pack.value().info);
-  return result;
+  return BackendResult{map.take(), pack.take()};
 }
 
 std::string backend_report(const BackendResult& result, const NxDevice& device) {

@@ -44,6 +44,7 @@ struct MapResult {
   Routing routing;
   TimingReport timing;
   PowerReport power;
+  /// Populated when the detailed router ran.
   unsigned route_iterations = 0;
   bool route_converged = true;
 };
@@ -51,23 +52,13 @@ struct MapResult {
 /// Packed programming image plus its self-verification record.
 struct PackResult {
   std::vector<std::uint8_t> bitstream;
-  BitstreamInfo info;
-};
-
-struct BackendResult {
-  MappedDesign mapped;
-  Placement placement;
-  Routing routing;
-  TimingReport timing;
-  PowerReport power;
-  std::vector<std::uint8_t> bitstream;
   /// Self-check of the packed image: the backend re-runs verify_bitstream on
   /// its own output, so a flow never hands BL1 an unprogrammable bitstream.
   BitstreamInfo bitstream_info;
-  /// Populated when the detailed router ran.
-  unsigned route_iterations = 0;
-  bool route_converged = true;
 };
+
+/// The whole backend's products: the mapped design and its bitstream.
+struct BackendResult : MapResult, PackResult {};
 
 /// Runs the full backend on a synthesizable module for the given device.
 /// Equivalent to run_backend_map followed by pack_backend.

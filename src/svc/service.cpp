@@ -1,7 +1,6 @@
 #include "svc/service.hpp"
 
 #include <cstring>
-#include <type_traits>
 #include <utility>
 
 #include "hls/eucalyptus.hpp"
@@ -157,120 +156,106 @@ void CompileService::drain() {
   pool_.run_queue([this] { return run_next(); });
 }
 
+template <typename T>
+std::shared_ptr<const T> CompileService::run_stage(
+    JobRecord& record, Stage stage, std::uint64_t key,
+    const std::function<Result<T>()>& compute,
+    const std::function<std::vector<std::uint8_t>(const T&)>& image_of,
+    const std::function<std::uint64_t(const T&)>& cold_cycles) {
+  const CompileRequest& req = record.request;
+  CompileOutcome& out = record.outcome;
+
+  // Pre-stage gate: cancellation then budget, in that order.
+  if (record.cancelled.load(std::memory_order_relaxed)) {
+    out.status = Status::Error(ErrorCode::kCancelled, "job cancelled");
+    return nullptr;
+  }
+  if (out.cycles_charged >= req.cycle_budget) {
+    out.status = Status::Error(
+        ErrorCode::kDeadlineExceeded,
+        "cycle budget exhausted before " + std::string(to_string(stage)));
+    return nullptr;
+  }
+  if (options_.stage_hook) options_.stage_hook(out.job_id, req, stage);
+
+  // A failed compute inserts nothing and leaves its (non-ok) status here.
+  Status failure;
+  const std::function<std::shared_ptr<const T>()> make =
+      [&]() -> std::shared_ptr<const T> {
+    Result<T> made = compute();
+    if (!made.ok()) {
+      failure = made.status();
+      return nullptr;
+    }
+    return std::make_shared<const T>(made.take());
+  };
+  // Waiter fallback: a requester that parked on another job's compute and
+  // got null (the compiler failed or was cancelled) retries and becomes the
+  // compiler itself, so one tenant's cancellation can never fail a
+  // neighbour's job.
+  bool hit = false;
+  std::shared_ptr<const T> value;
+  for (;;) {
+    bool waiter = false;
+    value = cache_.get_or_compute<T>(stage, key, make, image_of, &hit, &waiter);
+    if (value != nullptr || !waiter) break;
+  }
+
+  if (value == nullptr) out.status = failure;
+  const std::uint64_t cycles = value == nullptr ? 0
+                               : hit            ? cost::kHitCycles
+                                                : cold_cycles(*value);
+  out.stages.push_back(StageTrace{stage, key, hit, cycles});
+  out.cycles_charged += cycles;
+  return value;
+}
+
 void CompileService::execute(JobRecord& record) {
   const CompileRequest& req = record.request;
   CompileOutcome& out = record.outcome;
 
-  // Pre-stage gate: cancellation then budget, in that order. Returns false
-  // when the job must stop; `out.status` explains why.
-  const auto enter_stage = [&](Stage stage) {
-    if (record.cancelled.load(std::memory_order_relaxed)) {
-      out.status = Status::Error(ErrorCode::kCancelled, "job cancelled");
-      return false;
-    }
-    if (out.cycles_charged >= req.cycle_budget) {
-      out.status = Status::Error(
-          ErrorCode::kDeadlineExceeded,
-          "cycle budget exhausted before " + std::string(to_string(stage)));
-      return false;
-    }
-    if (options_.stage_hook) options_.stage_hook(out.job_id, req, stage);
-    return true;
-  };
-  const auto charge = [&](Stage stage, std::uint64_t key, bool hit,
-                          std::uint64_t cycles) {
-    out.stages.push_back(StageTrace{stage, key, hit, cycles});
-    out.cycles_charged += cycles;
-  };
-  // Cache fetch with waiter fallback: a requester that parked on another
-  // job's compute and got null (the compiler failed or was cancelled) retries
-  // and becomes the compiler itself, so one tenant's cancellation can never
-  // fail a neighbour's job.
-  const auto fetch = [&](Stage stage, std::uint64_t key, auto&& compute,
-                         auto&& image_of, bool* hit) {
-    using Artifact = std::remove_const_t<
-        typename std::decay_t<decltype(compute())>::element_type>;
-    std::shared_ptr<const Artifact> value;
-    for (;;) {
-      bool waiter = false;
-      value = cache_.get_or_compute<Artifact>(stage, key, compute, image_of,
-                                              hit, &waiter);
-      if (value != nullptr || !waiter) break;
-    }
-    return value;
-  };
-
-  // ---- stage 0: characterize ----------------------------------------------
   if (req.characterize) {
-    if (!enter_stage(Stage::kCharacterize)) return;
-    const std::uint64_t key =
-        characterize_key(req.flow.target, options_.sweep);
-    bool hit = false;
-    auto artifact = fetch(
-        Stage::kCharacterize, key,
-        [&]() -> std::shared_ptr<const Characterization> {
-          auto made = std::make_shared<Characterization>();
+    const auto characterization = run_stage<Characterization>(
+        record, Stage::kCharacterize,
+        characterize_key(req.flow.target, options_.sweep),
+        [&]() -> Result<Characterization> {
+          Characterization made;
           hls::TechLibrary lib(req.flow.target);
-          made->points = hls::run_sweep(lib, options_.sweep, &sweep_pool_);
-          made->xml = hls::to_xml(req.flow.target, made->points);
+          made.points = hls::run_sweep(lib, options_.sweep, &sweep_pool_);
+          made.xml = hls::to_xml(req.flow.target, made.points);
           return made;
         },
-        image_of_characterization, &hit);
-    if (artifact == nullptr) {
-      out.status = Status::Error(ErrorCode::kInternal,
-                                 "characterization sweep produced nothing");
-      charge(Stage::kCharacterize, key, false, 0);
-      return;
-    }
-    out.characterization_points = artifact->points.size();
-    charge(Stage::kCharacterize, key, hit,
-           hit ? cost::kHitCycles : cost::characterize(artifact->points.size()));
+        image_of_characterization,
+        [](const Characterization& made) {
+          return cost::characterize(made.points.size());
+        });
+    if (characterization == nullptr) return;
+    out.characterization_points = characterization->points.size();
   }
 
-  // ---- stage 1: schedule (source-level jobs only) -------------------------
+  // Source-level jobs schedule; netlist-level jobs enter at the map stage.
   std::shared_ptr<const hw::Module> module = req.module;
-  std::shared_ptr<const hls::FlowResult> flow;
   if (!req.source.empty()) {
-    if (!enter_stage(Stage::kSchedule)) return;
-    const std::uint64_t key = schedule_key(req.source, req.flow);
-    bool hit = false;
-    Status stage_status = Status::Ok();
-    flow = fetch(
-        Stage::kSchedule, key,
-        [&]() -> std::shared_ptr<const hls::FlowResult> {
+    const auto flow = run_stage<hls::FlowResult>(
+        record, Stage::kSchedule, schedule_key(req.source, req.flow),
+        [&]() -> Result<hls::FlowResult> {
           auto scheduled = hls::run_flow_schedule(req.source, req.flow);
-          if (!scheduled.ok()) {
-            stage_status = scheduled.status();
-            return nullptr;
-          }
+          if (!scheduled.ok()) return scheduled.status();
           // Mid-stage cancellation point: between scheduling/binding and
           // datapath generation. An aborted compute inserts nothing.
           if (record.cancelled.load(std::memory_order_relaxed)) {
-            stage_status = Status::Error(ErrorCode::kCancelled,
-                                         "job cancelled mid-schedule");
-            return nullptr;
+            return Status::Error(ErrorCode::kCancelled,
+                                 "job cancelled mid-schedule");
           }
-          auto finished = hls::finish_flow(std::move(scheduled.value()));
-          if (!finished.ok()) {
-            stage_status = finished.status();
-            return nullptr;
-          }
-          return std::make_shared<hls::FlowResult>(
-              std::move(finished.value()));
+          return hls::finish_flow(scheduled.take());
         },
-        image_of_flow, &hit);
-    if (flow == nullptr) {
-      out.status = stage_status.ok()
-                       ? Status::Error(ErrorCode::kInternal,
-                                       "schedule stage produced nothing")
-                       : stage_status;
-      charge(Stage::kSchedule, key, false, 0);
-      return;
-    }
+        image_of_flow,
+        [&](const hls::FlowResult& made) {
+          return cost::schedule(req.source.size(), made);
+        });
+    if (flow == nullptr) return;
     out.netlist_digest = flow->fsmd.module.digest();
     out.fsm_states = flow->fsm_states;
-    charge(Stage::kSchedule, key, hit,
-           hit ? cost::kHitCycles : cost::schedule(req.source.size(), *flow));
     // Aliasing share: the module lives inside the cached FlowResult.
     module = std::shared_ptr<const hw::Module>(flow, &flow->fsmd.module);
   }
@@ -282,64 +267,25 @@ void CompileService::execute(JobRecord& record) {
   }
   if (out.netlist_digest == 0) out.netlist_digest = module->digest();
 
-  // ---- stage 2: map -------------------------------------------------------
-  if (!enter_stage(Stage::kMap)) return;
   const nx::NxDevice device = nx::make_device(req.flow.target);
   const std::uint64_t map_stage_key =
       map_key(module->digest(), req.flow.target, req.backend);
-  bool map_hit = false;
-  Status map_status = Status::Ok();
-  auto map = fetch(
-      Stage::kMap, map_stage_key,
-      [&]() -> std::shared_ptr<const nx::MapResult> {
-        auto mapped = nx::run_backend_map(*module, device, req.backend);
-        if (!mapped.ok()) {
-          map_status = mapped.status();
-          return nullptr;
-        }
-        return std::make_shared<nx::MapResult>(std::move(mapped.value()));
-      },
-      image_of_map, &map_hit);
-  if (map == nullptr) {
-    out.status = map_status.ok()
-                     ? Status::Error(ErrorCode::kInternal,
-                                     "map stage produced nothing")
-                     : map_status;
-    charge(Stage::kMap, map_stage_key, false, 0);
-    return;
-  }
+  const auto map = run_stage<nx::MapResult>(
+      record, Stage::kMap, map_stage_key,
+      [&] { return nx::run_backend_map(*module, device, req.backend); },
+      image_of_map, cost::map);
+  if (map == nullptr) return;
   out.timing = map->timing;
   out.power_total_mw = map->power.total_mw;
-  charge(Stage::kMap, map_stage_key, map_hit,
-         map_hit ? cost::kHitCycles : cost::map(*map));
 
-  // ---- stage 3: bitstream -------------------------------------------------
-  if (!enter_stage(Stage::kBitstream)) return;
-  const std::uint64_t pack_key = bitstream_key(map_stage_key);
-  bool pack_hit = false;
-  Status pack_status = Status::Ok();
-  auto pack = fetch(
-      Stage::kBitstream, pack_key,
-      [&]() -> std::shared_ptr<const nx::PackResult> {
-        auto packed = nx::pack_backend(*map, device);
-        if (!packed.ok()) {
-          pack_status = packed.status();
-          return nullptr;
-        }
-        return std::make_shared<nx::PackResult>(std::move(packed.value()));
-      },
-      image_of_pack, &pack_hit);
-  if (pack == nullptr) {
-    out.status = pack_status.ok()
-                     ? Status::Error(ErrorCode::kInternal,
-                                     "bitstream stage produced nothing")
-                     : pack_status;
-    charge(Stage::kBitstream, pack_key, false, 0);
-    return;
-  }
+  const auto pack = run_stage<nx::PackResult>(
+      record, Stage::kBitstream, bitstream_key(map_stage_key),
+      [&] { return nx::pack_backend(*map, device); }, image_of_pack,
+      [](const nx::PackResult& made) {
+        return cost::bitstream(made.bitstream.size());
+      });
+  if (pack == nullptr) return;
   out.bitstream = pack->bitstream;
-  charge(Stage::kBitstream, pack_key, pack_hit,
-         pack_hit ? cost::kHitCycles : cost::bitstream(pack->bitstream.size()));
   out.status = Status::Ok();
 }
 

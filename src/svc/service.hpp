@@ -110,6 +110,16 @@ class CompileService {
   std::uint64_t pop_wfq_locked();  ///< kNoJob when nothing is pending
   void execute(JobRecord& record);
 
+  /// One stage of one job: cancellation/budget gate, stage_hook, cache fetch
+  /// (computing on miss), failure status and cycle charge. Returns null when
+  /// the job must stop; `record.outcome.status` then says why.
+  template <typename T>
+  std::shared_ptr<const T> run_stage(
+      JobRecord& record, Stage stage, std::uint64_t key,
+      const std::function<Result<T>()>& compute,
+      const std::function<std::vector<std::uint8_t>(const T&)>& image_of,
+      const std::function<std::uint64_t(const T&)>& cold_cycles);
+
   static constexpr std::uint64_t kNoJob = ~0ULL;
 
   ServiceOptions options_;

@@ -4,6 +4,10 @@
 // functionally.
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <set>
+#include <string>
+
 #include "apps/aocs.hpp"
 #include "apps/ccsds.hpp"
 #include "apps/compress.hpp"
@@ -13,6 +17,7 @@
 #include "apps/vbn.hpp"
 #include "common/rng.hpp"
 #include "hls/flow.hpp"
+#include "hls/techlib.hpp"
 #include "hls/testbench.hpp"
 
 namespace hermes::apps {
@@ -20,20 +25,46 @@ namespace {
 
 // ---- HLS kernels, parameterized over the whole catalog ----
 
-class KernelCosim : public ::testing::TestWithParam<KernelSpec> {};
+struct KernelCase {
+  KernelSpec spec;
+  unsigned multipliers = hls::Constraints{}.multipliers;
+  std::string label;  ///< test-name suffix
+};
+
+void PrintTo(const KernelCase& c, std::ostream* os) { *os << c.label; }
+
+class KernelCosim : public ::testing::TestWithParam<KernelCase> {};
 
 TEST_P(KernelCosim, HardwareMatchesGolden) {
-  const KernelSpec& spec = GetParam();
+  const KernelSpec& spec = GetParam().spec;
   hls::FlowOptions options;
   options.top = spec.name;
+  options.constraints.multipliers = GetParam().multipliers;
   auto flow = hls::run_flow(spec.source, options);
   ASSERT_TRUE(flow.ok()) << spec.name << ": " << flow.status().to_string();
+
+  // Binding must never allocate more multipliers than the scheduler was
+  // allowed to use at once. Only exact for designs whose multiplies share
+  // one width: the scheduler limits them together, binding pools by width.
+  std::set<unsigned> mul_widths;
+  const ir::Function& function = flow.value().function;
+  for (ir::BlockId b = 0; b < function.num_blocks(); ++b) {
+    for (const ir::Instr& instr : function.block(b).instrs) {
+      if (hls::fu_class_of(instr.op) == hls::FuClass::kMultiplier) {
+        mul_widths.insert(instr.type.bits);
+      }
+    }
+  }
+  if (mul_widths.size() == 1) {
+    EXPECT_LE(flow.value().binding.stats.multiplier_instances,
+              options.constraints.multipliers);
+  }
 
   Rng rng(0xC0DE + spec.name.size());
   // Random contents for every interface memory.
   std::map<std::size_t, std::vector<std::uint64_t>> images;
-  for (std::size_t m = 0; m < flow.value().function.memories().size(); ++m) {
-    const ir::MemDecl& mem = flow.value().function.memories()[m];
+  for (std::size_t m = 0; m < function.memories().size(); ++m) {
+    const ir::MemDecl& mem = function.memories()[m];
     if (!mem.is_interface) continue;
     std::vector<std::uint64_t> image(mem.depth);
     for (auto& word : image) word = rng.next_u64();
@@ -46,11 +77,43 @@ TEST_P(KernelCosim, HardwareMatchesGolden) {
   EXPECT_GT(result.value().hw_cycles, 0u);
 }
 
+std::vector<KernelCase> catalog_cases() {
+  std::vector<KernelCase> cases;
+  for (KernelSpec& spec : all_kernels()) {
+    KernelCase c;
+    c.label = spec.name;
+    c.spec = std::move(spec);
+    cases.push_back(std::move(c));
+  }
+  return cases;
+}
+
+// Non-power-of-two sobel widths keep their row-stride multiplies, signed and
+// unsigned side by side; sharing them across the multiplier sweep once
+// miscompiled (two multiplies bound to one unit in the same state).
+std::vector<KernelCase> sobel_width_cases() {
+  std::vector<KernelCase> cases;
+  for (unsigned width = 9; width <= 12; ++width) {
+    for (unsigned multipliers : {1u, 2u, 4u, 8u}) {
+      KernelCase c;
+      c.spec = sobel_kernel(width, 4);
+      c.multipliers = multipliers;
+      c.label = "sobel_w" + std::to_string(width) + "_mul" +
+                std::to_string(multipliers);
+      cases.push_back(std::move(c));
+    }
+  }
+  return cases;
+}
+
+std::string case_label(const ::testing::TestParamInfo<KernelCase>& info) {
+  return info.param.label;
+}
+
 INSTANTIATE_TEST_SUITE_P(Catalog, KernelCosim,
-                         ::testing::ValuesIn(all_kernels()),
-                         [](const ::testing::TestParamInfo<KernelSpec>& info) {
-                           return info.param.name;
-                         });
+                         ::testing::ValuesIn(catalog_cases()), case_label);
+INSTANTIATE_TEST_SUITE_P(SobelWidths, KernelCosim,
+                         ::testing::ValuesIn(sobel_width_cases()), case_label);
 
 TEST(Kernels, SobelDetectsEdge) {
   // A vertical step edge must produce strong responses along the boundary.

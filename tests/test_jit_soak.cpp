@@ -2,11 +2,12 @@
 // backend and fingerprint-checked against the serial interpreter oracle.
 //
 // Every plan runs three times — once on the interpreter (the oracle), twice
-// on run_netlist_seu_campaign_jit — and all three fault::fingerprint values
-// must agree. Plan modules come from the shared random-netlist generator, so
-// the soak sweeps the same edge-width/shift/division/RAM-collision corners
-// as the differential fuzz, but through the full campaign machinery: many
-// Simulator replicas sharing one cached kernel across ThreadPool workers.
+// through run_netlist_seu_campaign on the kJit backend — and all three
+// fault::fingerprint values must agree. Plan modules come from the shared
+// random-netlist generator, so the soak sweeps the same
+// edge-width/shift/division/RAM-collision corners as the differential fuzz,
+// but through the full campaign machinery: many Simulator replicas sharing
+// one cached kernel across ThreadPool workers.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -46,9 +47,10 @@ NetlistSeuPlan make_plan(std::uint64_t seed) {
 /// folding in the plan seed so plans cannot mask each other's outcomes.
 std::uint64_t run_once(const hw::Module& module, const NetlistSeuPlan& plan,
                        std::uint64_t seed, bool jit) {
+  hw::SimOptions sim;
+  if (jit) sim.backend = hw::SimBackend::kJit;
   const NetlistSeuResult result =
-      jit ? run_netlist_seu_campaign_jit(module, plan)
-          : run_netlist_seu_campaign(module, plan);
+      run_netlist_seu_campaign(module, plan, nullptr, sim);
   std::uint64_t hash = kFnvBasis;
   hash = mix(hash, seed);
   hash = mix(hash, fingerprint(result));

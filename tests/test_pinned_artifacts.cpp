@@ -1,0 +1,71 @@
+// Absolute artifact pins. Every other determinism gate compares two runs of
+// the same tree, so a refactor that changes what the flow produces would
+// still pass them. These constants must only change together with a
+// deliberate, documented change to the generated hardware or to the compile
+// service's key derivation.
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "apps/kernels.hpp"
+#include "hls/flow.hpp"
+#include "svc/service.hpp"
+
+namespace hermes {
+namespace {
+
+TEST(PinnedArtifacts, CatalogNetlistDigests) {
+  const std::vector<std::pair<std::string, std::uint64_t>> expected = {
+      {"sobel", 0xd159f69367857671ULL},
+      {"fir", 0xe5c9dbd1877ee8deULL},
+      {"dense_relu", 0x9a8e35b3dc107f9bULL},
+      {"matmul", 0x5487c1d691d0cc4aULL},
+      {"histogram", 0x2432ef6d97f660b7ULL},
+  };
+  const std::vector<apps::KernelSpec> kernels = apps::all_kernels();
+  ASSERT_EQ(kernels.size(), expected.size());
+  for (std::size_t k = 0; k < kernels.size(); ++k) {
+    ASSERT_EQ(kernels[k].name, expected[k].first);
+    hls::FlowOptions options;
+    options.top = kernels[k].name;
+    auto flow = hls::run_flow(kernels[k].source, options);
+    ASSERT_TRUE(flow.ok()) << kernels[k].name;
+    EXPECT_EQ(flow.value().fsmd.module.digest(), expected[k].second)
+        << kernels[k].name;
+  }
+}
+
+TEST(PinnedArtifacts, ServiceStageKeys) {
+  const apps::KernelSpec spec = apps::fir_kernel(4, 16);
+  svc::CompileRequest request;
+  request.source = spec.source;
+  request.flow.top = spec.name;
+  request.flow.constraints.clock_period_ns = 8.0;
+  request.backend.place.seed = 3;
+
+  svc::ServiceOptions options;
+  options.sweep.ops = {ir::Op::kAdd, ir::Op::kMul};
+  options.sweep.widths = {8, 32};
+  svc::CompileService service(options);
+  const std::vector<svc::CompileOutcome> outcomes = service.run({request});
+  ASSERT_TRUE(outcomes[0].status.ok()) << outcomes[0].status.to_string();
+
+  const std::uint64_t expected[] = {
+      0x38ee0fe052376defULL,  // characterize
+      0xdafb6c8a3f87b991ULL,  // schedule
+      0xa6f87c06dfb61379ULL,  // map
+      0xca2e380cc8e1ff0bULL,  // bitstream
+  };
+  const std::vector<svc::StageTrace>& stages = outcomes[0].stages;
+  ASSERT_EQ(stages.size(), std::size(expected));
+  for (std::size_t s = 0; s < stages.size(); ++s) {
+    EXPECT_EQ(stages[s].stage, static_cast<svc::Stage>(s));
+    EXPECT_EQ(stages[s].key, expected[s]) << svc::to_string(stages[s].stage);
+  }
+}
+
+}  // namespace
+}  // namespace hermes
