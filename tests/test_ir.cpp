@@ -3,6 +3,8 @@
 // interpreter must produce identical results before and after optimization.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "common/rng.hpp"
 #include "frontend/parser.hpp"
 #include "frontend/typecheck.hpp"
@@ -179,6 +181,8 @@ struct PassCase {
   std::vector<std::uint64_t> args;
   std::vector<std::vector<std::uint64_t>> memories;  // by memory index
 };
+
+void PrintTo(const PassCase& c, std::ostream* os) { *os << c.name; }
 
 class PassPreservation : public ::testing::TestWithParam<PassCase> {};
 
