@@ -155,11 +155,4 @@ void AxiCache::flush() {
   }
 }
 
-void AxiCache::invalidate() {
-  for (Line& line : lines_) {
-    line.valid = false;
-    line.dirty = false;
-  }
-}
-
 }  // namespace hermes::axi

@@ -55,9 +55,6 @@ class AxiCache {
   /// another master — the DMA-out step of the wrapper).
   void flush();
 
-  /// Drops all lines without writing back (test helper).
-  void invalidate();
-
   [[nodiscard]] const CacheStats& stats() const { return stats_; }
   [[nodiscard]] const CacheConfig& config() const { return config_; }
 

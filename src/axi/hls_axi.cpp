@@ -7,15 +7,6 @@
 
 namespace hermes::axi {
 
-const char* to_string(AxiMode mode) {
-  switch (mode) {
-    case AxiMode::kDmaBurst: return "dma_burst";
-    case AxiMode::kPerAccess: return "per_access";
-    case AxiMode::kPerAccessCached: return "per_access_cached";
-  }
-  return "?";
-}
-
 AxiMap default_axi_map(const ir::Function& function, std::uint64_t base) {
   AxiMap map;
   std::uint64_t addr = base;

@@ -18,6 +18,7 @@
 #include <map>
 #include <vector>
 
+#include "common/enum_names.hpp"
 #include "axi/cache.hpp"
 #include "axi/master.hpp"
 #include "common/status.hpp"
@@ -25,13 +26,14 @@
 
 namespace hermes::axi {
 
-enum class AxiMode {
-  kDmaBurst,        ///< burst DMA in, compute from BRAM, burst DMA out
-  kPerAccess,       ///< one single-beat transaction per dynamic load/store
-  kPerAccessCached, ///< per-access behind the configurable AxiCache
-};
-
-const char* to_string(AxiMode mode);
+#define HERMES_AXI_MODES(X)                                                   \
+  /* burst DMA in, compute from BRAM, burst DMA out */                        \
+  X(kDmaBurst, "dma_burst")                                                   \
+  /* one single-beat transaction per dynamic load/store */                    \
+  X(kPerAccess, "per_access")                                                 \
+  /* per-access behind the configurable AxiCache */                           \
+  X(kPerAccessCached, "per_access_cached")
+HERMES_ENUM(AxiMode, int, HERMES_AXI_MODES)
 
 struct AxiRunResult {
   bool match = true;

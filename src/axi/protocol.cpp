@@ -7,25 +7,6 @@
 
 namespace hermes::axi {
 
-const char* to_string(Burst burst) {
-  switch (burst) {
-    case Burst::kFixed: return "FIXED";
-    case Burst::kIncr: return "INCR";
-    case Burst::kWrap: return "WRAP";
-  }
-  return "?";
-}
-
-const char* to_string(Resp resp) {
-  switch (resp) {
-    case Resp::kOkay: return "OKAY";
-    case Resp::kExOkay: return "EXOKAY";
-    case Resp::kSlvErr: return "SLVERR";
-    case Resp::kDecErr: return "DECERR";
-  }
-  return "?";
-}
-
 std::uint64_t beat_address(const AddrBeat& ab, unsigned beat) {
   const std::uint64_t bytes = 1ULL << ab.size_log2;
   switch (ab.burst) {

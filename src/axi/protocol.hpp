@@ -12,15 +12,19 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/enum_names.hpp"
 #include "common/status.hpp"
 
 namespace hermes::axi {
 
-enum class Burst : std::uint8_t { kFixed = 0, kIncr = 1, kWrap = 2 };
-enum class Resp : std::uint8_t { kOkay = 0, kExOkay = 1, kSlvErr = 2, kDecErr = 3 };
+#define HERMES_AXI_BURSTS(X)                                                  \
+  X(kFixed, "FIXED") X(kIncr, "INCR") X(kWrap, "WRAP")
+HERMES_ENUM(Burst, std::uint8_t, HERMES_AXI_BURSTS)
 
-const char* to_string(Burst burst);
-const char* to_string(Resp resp);
+#define HERMES_AXI_RESPS(X)                                                   \
+  X(kOkay, "OKAY") X(kExOkay, "EXOKAY") X(kSlvErr, "SLVERR")                  \
+  X(kDecErr, "DECERR")
+HERMES_ENUM(Resp, std::uint8_t, HERMES_AXI_RESPS)
 
 inline constexpr unsigned kMaxBurstLen = 256;   ///< AXI4 INCR bursts
 inline constexpr std::uint64_t k4KBoundary = 4096;

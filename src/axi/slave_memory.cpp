@@ -93,8 +93,6 @@ bool AxiSlaveMemory::pop_read_beat(ReadBeat& out) {
       out.resp = Resp::kSlvErr;
     }
   }
-  ++read_beats_;
-
   ++pending.next_beat;
   pending.next_beat_at = now_ + timing_.cycles_per_beat;
   if (out.last) reads_.pop_front();
@@ -130,7 +128,6 @@ bool AxiSlaveMemory::pop_write_resp(Resp& out, unsigned& id) {
         poke(addr + lane, static_cast<std::uint8_t>(wb.data >> (8 * lane)));
       }
     }
-    ++write_beats_;
   }
   out = error && timing_.oob_decerr ? Resp::kDecErr : Resp::kOkay;
   writes_.pop_front();

@@ -71,8 +71,6 @@ class AxiSlaveMemory {
   void tick();
 
   [[nodiscard]] std::uint64_t cycles() const { return now_; }
-  [[nodiscard]] std::uint64_t total_read_beats() const { return read_beats_; }
-  [[nodiscard]] std::uint64_t total_write_beats() const { return write_beats_; }
 
  private:
   struct PendingRead {
@@ -92,7 +90,6 @@ class AxiSlaveMemory {
   std::uint64_t now_ = 0;
   std::deque<PendingRead> reads_;
   std::deque<PendingWrite> writes_;
-  std::uint64_t read_beats_ = 0, write_beats_ = 0;
 
   fault::FaultInjector* injector_ = nullptr;
   fault::PointId pt_ar_stall_ = fault::kNoFaultPoint;

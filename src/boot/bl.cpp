@@ -30,20 +30,6 @@ constexpr std::uint64_t kCyclesPerShaByte = 1;  ///< software SHA-256 ~1 B/cycle
 
 }  // namespace
 
-const char* to_string(BootSource source) {
-  return source == BootSource::kFlash ? "flash" : "spacewire";
-}
-
-const char* to_string(BootStage stage) {
-  switch (stage) {
-    case BootStage::kBl0: return "BL0";
-    case BootStage::kBl1: return "BL1";
-    case BootStage::kBl2: return "BL2";
-    case BootStage::kApplication: return "application";
-  }
-  return "?";
-}
-
 std::vector<std::uint8_t> BootReport::serialize() const {
   std::vector<std::uint8_t> out;
   auto put_u64 = [&out](std::uint64_t v) {

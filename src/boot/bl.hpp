@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "common/enum_names.hpp"
 #include "boot/flash.hpp"
 #include "boot/loadlist.hpp"
 #include "boot/soc.hpp"
@@ -19,11 +20,13 @@
 
 namespace hermes::boot {
 
-enum class BootSource : std::uint8_t { kFlash, kSpaceWire };
-enum class BootStage : std::uint8_t { kBl0, kBl1, kBl2, kApplication };
+#define HERMES_BOOT_SOURCES(X)                                                \
+  X(kFlash, "flash") X(kSpaceWire, "spacewire")
+HERMES_ENUM(BootSource, std::uint8_t, HERMES_BOOT_SOURCES)
 
-const char* to_string(BootSource source);
-const char* to_string(BootStage stage);
+#define HERMES_BOOT_STAGES(X)                                                 \
+  X(kBl0, "BL0") X(kBl1, "BL1") X(kBl2, "BL2") X(kApplication, "application")
+HERMES_ENUM(BootStage, std::uint8_t, HERMES_BOOT_STAGES)
 
 /// Flash layout used by the reference configuration.
 struct FlashLayout {

@@ -1,5 +1,6 @@
 #include "boot/loadlist.hpp"
 
+#include <algorithm>
 #include <cstring>
 
 #include "common/crc.hpp"
@@ -84,8 +85,16 @@ Result<LoadList> parse_load_list(std::span<const std::uint8_t> data) {
                            format("entry %u: bad kind %u", i, kind));
     }
     entry.kind = static_cast<LoadKind>(kind);
+    // A name is up to 15 bytes, zero-padded to 16: anything after the
+    // terminator would be dropped here and the image would not round-trip.
     const char* name = reinterpret_cast<const char*>(data.data() + offset + 1);
-    entry.name.assign(name, strnlen(name, 15));
+    const std::size_t name_length = strnlen(name, 15);
+    if (std::any_of(name + name_length, name + 16,
+                    [](char c) { return c != 0; })) {
+      return Status::Error(ErrorCode::kIntegrityError,
+                           format("entry %u: name field not zero-padded", i));
+    }
+    entry.name.assign(name, name_length);
     entry.source_offset = get_u64(data, offset + 17);
     entry.size = get_u64(data, offset + 25);
     entry.dest_addr = get_u64(data, offset + 33);

@@ -3,6 +3,7 @@
 #include <cstring>
 
 #include "common/backoff.hpp"
+#include "common/fnv.hpp"
 #include "common/strings.hpp"
 
 namespace hermes::boot {
@@ -312,10 +313,9 @@ std::uint64_t Soc::scrub_efpga() {
 }
 
 std::uint64_t Soc::efpga_config_digest() const {
-  std::uint64_t hash = 14695981039346656037ULL;
+  std::uint64_t hash = fnv::kOffsetBasis;
   const auto mix = [&hash](std::uint64_t value) {
-    hash ^= value;
-    hash *= 1099511628211ULL;
+    hash = fnv::mix_word(hash, value);
   };
   if (!efpga_config_) return hash;
   for (const EfpgaFrameDir& frame : efpga_dir_) {

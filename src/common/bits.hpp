@@ -34,13 +34,6 @@ constexpr bool get_bit(std::uint64_t value, unsigned index) {
   return (value >> index) & 1u;
 }
 
-/// Returns `value` with bit `index` set to `bit`.
-constexpr std::uint64_t set_bit(std::uint64_t value, unsigned index, bool bit) {
-  assert(index < 64);
-  const std::uint64_t mask = 1ULL << index;
-  return bit ? (value | mask) : (value & ~mask);
-}
-
 /// Number of bits needed to represent `value` (at least 1).
 constexpr unsigned bit_width_of(std::uint64_t value) {
   unsigned width = 1;

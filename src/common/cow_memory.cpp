@@ -55,12 +55,6 @@ CowMemory::Page& CowMemory::writable_page(std::size_t index) {
   return *slot;
 }
 
-std::size_t CowMemory::resident_pages() const {
-  return static_cast<std::size_t>(
-      std::count_if(pages_.begin(), pages_.end(),
-                    [](const std::shared_ptr<Page>& p) { return p != nullptr; }));
-}
-
 std::size_t CowMemory::pages_shared_with(const CowMemory& other) const {
   std::size_t shared = 0;
   const std::size_t common = std::min(pages_.size(), other.pages_.size());

@@ -39,10 +39,6 @@ class CowMemory {
   void read(std::size_t offset, std::span<std::uint8_t> out) const;
   void write(std::size_t offset, std::span<const std::uint8_t> data);
 
-  /// Number of materialized (non-fill) pages — the storage actually owned
-  /// or shared by this copy.
-  [[nodiscard]] std::size_t resident_pages() const;
-
   /// Number of materialized pages this copy still shares with `other`
   /// (same page object, not merely equal bytes). Observability hook for the
   /// fork tests and docs/CAMPAIGNS.md examples.

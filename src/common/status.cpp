@@ -2,26 +2,6 @@
 
 namespace hermes {
 
-const char* to_string(ErrorCode code) {
-  switch (code) {
-    case ErrorCode::kOk: return "ok";
-    case ErrorCode::kInvalidArgument: return "invalid_argument";
-    case ErrorCode::kParseError: return "parse_error";
-    case ErrorCode::kTypeError: return "type_error";
-    case ErrorCode::kUnsupported: return "unsupported";
-    case ErrorCode::kResourceExhausted: return "resource_exhausted";
-    case ErrorCode::kTimingViolation: return "timing_violation";
-    case ErrorCode::kIntegrityError: return "integrity_error";
-    case ErrorCode::kIsolationFault: return "isolation_fault";
-    case ErrorCode::kDeadlineExceeded: return "deadline_exceeded";
-    case ErrorCode::kNotFound: return "not_found";
-    case ErrorCode::kInternal: return "internal";
-    case ErrorCode::kCancelled: return "cancelled";
-    case ErrorCode::kCount: break;
-  }
-  return "unknown";
-}
-
 std::string Status::to_string() const {
   if (ok()) return "ok";
   std::string out = hermes::to_string(code_);

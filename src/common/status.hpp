@@ -12,30 +12,35 @@
 #include <utility>
 #include <variant>
 
+#include "common/enum_names.hpp"
+
 namespace hermes {
 
 /// Broad error categories shared by all HERMES tools.
-enum class ErrorCode {
-  kOk = 0,
-  kInvalidArgument,   ///< caller passed something malformed
-  kParseError,        ///< frontend could not parse the input program
-  kTypeError,         ///< frontend type checking failed
-  kUnsupported,       ///< construct outside the supported C subset / feature set
-  kResourceExhausted, ///< device capacity exceeded (LUTs, DSPs, RAMs, slots)
-  kTimingViolation,   ///< STA or scheduler could not meet the clock constraint
-  kIntegrityError,    ///< checksum / signature mismatch (boot, bitstream)
-  kIsolationFault,    ///< hypervisor space/time isolation violation
-  kDeadlineExceeded,  ///< bounded wait / watchdog expired (hang converted to error)
-  kNotFound,
-  kInternal,
-  kCancelled,         ///< caller withdrew the request (compile-service jobs)
-  // Add new codes above and name them in to_string(); the enum-string
-  // exhaustiveness test walks [0, kCount) and fails on a missing name.
-  kCount,
-};
-
-/// Human-readable name of an ErrorCode ("ok", "parse_error", ...).
-const char* to_string(ErrorCode code);
+#define HERMES_ERROR_CODES(X)                                                 \
+  X(kOk, "ok")                                                                \
+  /* caller passed something malformed */                                     \
+  X(kInvalidArgument, "invalid_argument")                                     \
+  /* frontend could not parse the input program */                            \
+  X(kParseError, "parse_error")                                               \
+  /* frontend type checking failed */                                         \
+  X(kTypeError, "type_error")                                                 \
+  /* construct outside the supported C subset / feature set */                \
+  X(kUnsupported, "unsupported")                                              \
+  /* device capacity exceeded (LUTs, DSPs, RAMs, slots) */                    \
+  X(kResourceExhausted, "resource_exhausted")                                 \
+  /* STA or scheduler could not meet the clock constraint */                  \
+  X(kTimingViolation, "timing_violation")                                     \
+  /* checksum / signature mismatch (boot, bitstream) */                       \
+  X(kIntegrityError, "integrity_error")                                       \
+  /* hypervisor space/time isolation violation */                             \
+  X(kIsolationFault, "isolation_fault")                                       \
+  /* bounded wait / watchdog expired (hang converted to error) */             \
+  X(kDeadlineExceeded, "deadline_exceeded")                                   \
+  X(kNotFound, "not_found") X(kInternal, "internal")                          \
+  /* caller withdrew the request (compile-service jobs) */                    \
+  X(kCancelled, "cancelled")
+HERMES_ENUM(ErrorCode, int, HERMES_ERROR_CODES)
 
 /// True for transient failures a bounded retry ladder may re-attempt:
 /// kInternal (subsystem hiccup, e.g. SLVERR or an injected node fault) and

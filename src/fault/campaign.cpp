@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/fnv.hpp"
 #include "fault/seu.hpp"
 #include "hw/sim.hpp"
 #include "hw/sim_sliced.hpp"
@@ -212,12 +213,9 @@ NetlistSeuResult run_netlist_seu_campaign_sliced(const hw::Module& module,
 }
 
 std::uint64_t fingerprint(const NetlistSeuResult& result) {
-  std::uint64_t hash = 14695981039346656037ULL;
+  std::uint64_t hash = fnv::kOffsetBasis;
   const auto mix = [&hash](std::uint64_t value) {
-    for (int i = 0; i < 8; ++i) {
-      hash ^= (value >> (8 * i)) & 0xFF;
-      hash *= 1099511628211ULL;
-    }
+    hash = fnv::mix_le64(hash, value);
   };
   mix(result.per_replica.size());
   for (const NetlistSeuOutcome& outcome : result.per_replica) {

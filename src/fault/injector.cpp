@@ -3,18 +3,15 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/fnv.hpp"
+
 namespace hermes::fault {
 namespace {
 
 /// FNV-1a, so a point's RNG stream depends on its name but not on the order
 /// subsystems registered in.
 std::uint64_t hash_name(std::string_view name) {
-  std::uint64_t h = 0xCBF29CE484222325ULL;
-  for (const char c : name) {
-    h ^= static_cast<std::uint8_t>(c);
-    h *= 0x100000001B3ULL;
-  }
-  return h;
+  return fnv::mix_bytes(fnv::kOffsetBasis, name);
 }
 
 }  // namespace

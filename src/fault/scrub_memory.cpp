@@ -6,15 +6,6 @@
 
 namespace hermes::fault {
 
-const char* to_string(Protection protection) {
-  switch (protection) {
-    case Protection::kNone: return "none";
-    case Protection::kEdac: return "edac";
-    case Protection::kTmr: return "tmr";
-  }
-  return "?";
-}
-
 ScrubMemory::ScrubMemory(std::size_t words, Protection protection)
     : protection_(protection), golden_(words, 0), raw_(words, 0) {
   if (protection_ == Protection::kTmr) {

@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/enum_names.hpp"
 #include "common/rng.hpp"
 #include "fault/edac.hpp"
 #include "fault/seu.hpp"
@@ -15,9 +16,9 @@
 
 namespace hermes::fault {
 
-enum class Protection { kNone, kEdac, kTmr };
-
-const char* to_string(Protection protection);
+#define HERMES_PROTECTIONS(X)                                                 \
+  X(kNone, "none") X(kEdac, "edac") X(kTmr, "tmr")
+HERMES_ENUM(Protection, int, HERMES_PROTECTIONS)
 
 /// Outcome counters of one injection + scrub + readback round.
 struct ScrubReport {

@@ -56,7 +56,6 @@ class CheckpointManager {
     reference_digest_ = digest;
     have_reference_ = true;
   }
-  void clear_reference_digest() { have_reference_ = false; }
 
   /// Recovery guard, toggled by the supervisor around its ladder.
   void set_recovering(bool recovering) { recovering_ = recovering; }

@@ -2,33 +2,6 @@
 
 namespace hermes::fdir {
 
-const char* to_string(Layer layer) {
-  switch (layer) {
-    case Layer::kAxi: return "axi";
-    case Layer::kBoot: return "boot";
-    case Layer::kEfpga: return "efpga";
-    case Layer::kMemory: return "memory";
-    case Layer::kHypervisor: return "hypervisor";
-    case Layer::kDataflow: return "dataflow";
-    case Layer::kSupervisor: return "supervisor";
-    case Layer::kNoc: return "noc";
-    case Layer::kCount: break;
-  }
-  return "?";
-}
-
-const char* to_string(Severity severity) {
-  switch (severity) {
-    case Severity::kInfo: return "info";
-    case Severity::kCorrected: return "corrected";
-    case Severity::kRetried: return "retried";
-    case Severity::kUncorrectable: return "uncorrectable";
-    case Severity::kExhausted: return "exhausted";
-    case Severity::kCount: break;
-  }
-  return "?";
-}
-
 FdirBus::FdirBus(std::size_t capacity) : capacity_(capacity ? capacity : 1) {
   queue_.reserve(capacity_);
 }

@@ -21,41 +21,46 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/enum_names.hpp"
 #include "common/status.hpp"
 
 namespace hermes::fdir {
 
 /// Which mitigation layer detected the fault.
-enum class Layer : std::uint8_t {
-  kAxi = 0,         ///< AXI master retry/watchdog ladder
-  kBoot = 1,        ///< boot-chain integrity ladder
-  kEfpga = 2,       ///< eFPGA programming path + configuration scrub
-  kMemory = 3,      ///< standalone EDAC/TMR scrub memories
-  kHypervisor = 4,  ///< XtratuM health monitor
-  kDataflow = 5,    ///< dataflow node re-execution ladder
-  kSupervisor = 6,  ///< the FDIR supervisor itself
-  kNoc = 7,         ///< interconnect crossbar (credits, CRC, watchdogs)
-  // Add new layers above and name them in to_string(); the enum-string
-  // exhaustiveness test walks [0, kCount) and fails on a missing name.
-  kCount,
-};
-inline constexpr std::size_t kNumLayers =
-    static_cast<std::size_t>(Layer::kCount);
-
-const char* to_string(Layer layer);
+#define HERMES_FDIR_LAYERS(X)                                                 \
+  /* AXI master retry/watchdog ladder */                                      \
+  X(kAxi, "axi")                                                              \
+  /* boot-chain integrity ladder */                                           \
+  X(kBoot, "boot")                                                            \
+  /* eFPGA programming path + configuration scrub */                          \
+  X(kEfpga, "efpga")                                                          \
+  /* standalone EDAC/TMR scrub memories */                                    \
+  X(kMemory, "memory")                                                        \
+  /* XtratuM health monitor */                                                \
+  X(kHypervisor, "hypervisor")                                                \
+  /* dataflow node re-execution ladder */                                     \
+  X(kDataflow, "dataflow")                                                    \
+  /* the FDIR supervisor itself */                                            \
+  X(kSupervisor, "supervisor")                                                \
+  /* interconnect crossbar (credits, CRC, watchdogs) */                       \
+  X(kNoc, "noc")
+HERMES_ENUM(Layer, std::uint8_t, HERMES_FDIR_LAYERS)
+inline constexpr std::size_t kNumLayers = enum_count<Layer>;
 
 /// How far up the layer's own ladder the fault got. Ordered: a higher value
 /// always means the layer needed (or failed to get) more help.
-enum class Severity : std::uint8_t {
-  kInfo = 0,           ///< observation only (logged HM event, plan switch)
-  kCorrected = 1,      ///< masked in place (EDAC single-bit, TMR vote)
-  kRetried = 2,        ///< a bounded retry/re-write/re-execution rung taken
-  kUncorrectable = 3,  ///< detected but beyond the layer's own means
-  kExhausted = 4,      ///< the layer's escalation budget ran out
-  kCount,              ///< sentinel for exhaustiveness tests — keep last
-};
-
-const char* to_string(Severity severity);
+#define HERMES_FDIR_SEVERITIES(X)                                             \
+  /* observation only (logged HM event, plan switch) */                       \
+  X(kInfo, "info")                                                            \
+  /* masked in place (EDAC single-bit, TMR vote) */                           \
+  X(kCorrected, "corrected")                                                  \
+  /* a bounded retry/re-write/re-execution rung taken */                      \
+  X(kRetried, "retried")                                                      \
+  /* detected but beyond the layer's own means */                             \
+  X(kUncorrectable, "uncorrectable")                                          \
+  /* the layer's escalation budget ran out */                                 \
+  X(kExhausted, "exhausted")
+HERMES_ENUM(Severity, std::uint8_t, HERMES_FDIR_SEVERITIES)
 
 /// One detection. 24 bytes, trivially copyable — cheap enough that every
 /// retry rung in a storm can afford to publish.

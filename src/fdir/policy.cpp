@@ -2,20 +2,6 @@
 
 namespace hermes::fdir {
 
-const char* to_string(IsolationAction action) {
-  switch (action) {
-    case IsolationAction::kNone: return "none";
-    case IsolationAction::kQuarantineAccelerator: return "quarantine_accelerator";
-    case IsolationAction::kSuspendPartition: return "suspend_partition";
-    case IsolationAction::kFenceMemory: return "fence_memory";
-    case IsolationAction::kShedDataflow: return "shed_dataflow";
-    case IsolationAction::kRollback: return "rollback";
-    case IsolationAction::kQuarantineNocDomain: return "quarantine_noc_domain";
-    case IsolationAction::kCount: break;
-  }
-  return "?";
-}
-
 PolicyEngine::PolicyEngine(PolicyConfig config) : config_(config) {
   if (config_.window == 0) config_.window = 1;
 }
@@ -36,7 +22,6 @@ IsolationAction PolicyEngine::isolation_for(Layer layer) {
       // The event's `detail` carries the containment domain by contract.
       return IsolationAction::kQuarantineNocDomain;
     case Layer::kSupervisor:
-    case Layer::kCount:
       return IsolationAction::kNone;
   }
   return IsolationAction::kNone;

@@ -21,23 +21,27 @@
 #include <deque>
 #include <vector>
 
+#include "common/enum_names.hpp"
 #include "fdir/event.hpp"
 
 namespace hermes::fdir {
 
 /// What the supervisor should do about a pattern.
-enum class IsolationAction : std::uint8_t {
-  kNone = 0,
-  kQuarantineAccelerator,  ///< stop dispatching to the eFPGA accelerator
-  kSuspendPartition,       ///< suspend via the hypervisor PartitionApi
-  kFenceMemory,            ///< write-fence the suspect memory region (MPU)
-  kShedDataflow,           ///< degrade: shed non-critical dataflow work
-  kRollback,               ///< restore the last known-good checkpoint
-  kQuarantineNocDomain,    ///< quarantine + drain one NoC containment domain
-  kCount,                  ///< sentinel for exhaustiveness tests — keep last
-};
-
-const char* to_string(IsolationAction action);
+#define HERMES_ISOLATION_ACTIONS(X)                                           \
+  X(kNone, "none")                                                            \
+  /* stop dispatching to the eFPGA accelerator */                             \
+  X(kQuarantineAccelerator, "quarantine_accelerator")                         \
+  /* suspend via the hypervisor PartitionApi */                               \
+  X(kSuspendPartition, "suspend_partition")                                   \
+  /* write-fence the suspect memory region (MPU) */                           \
+  X(kFenceMemory, "fence_memory")                                             \
+  /* degrade: shed non-critical dataflow work */                              \
+  X(kShedDataflow, "shed_dataflow")                                           \
+  /* restore the last known-good checkpoint */                                \
+  X(kRollback, "rollback")                                                    \
+  /* quarantine + drain one NoC containment domain */                         \
+  X(kQuarantineNocDomain, "quarantine_noc_domain")
+HERMES_ENUM(IsolationAction, std::uint8_t, HERMES_ISOLATION_ACTIONS)
 
 struct PolicyConfig {
   /// Sliding-window length in bus-arrival indices (events, all layers).

@@ -2,26 +2,16 @@
 
 #include <sstream>
 
+#include "common/fnv.hpp"
 #include "common/strings.hpp"
 #include "noc/noc.hpp"
 
 namespace hermes::fdir {
 
-const char* to_string(FdirMode mode) {
-  switch (mode) {
-    case FdirMode::kNominal: return "nominal";
-    case FdirMode::kDegraded: return "degraded";
-    case FdirMode::kSafe: return "safe";
-    case FdirMode::kCount: break;
-  }
-  return "?";
-}
-
 std::uint64_t FdirReport::fingerprint() const {
-  std::uint64_t hash = 14695981039346656037ULL;
+  std::uint64_t hash = fnv::kOffsetBasis;
   const auto mix = [&hash](std::uint64_t value) {
-    hash ^= value;
-    hash *= 1099511628211ULL;
+    hash = fnv::mix_word(hash, value);
   };
   mix(events_consumed);
   mix(events_dropped);
@@ -335,8 +325,6 @@ void FdirSupervisor::execute(const Decision& decision) {
       record(decision, ~0ULL, true);
       break;
     }
-    case IsolationAction::kCount:
-      break;
   }
   report_.final_mode = mode_;
 }

@@ -25,6 +25,7 @@
 #include <string>
 #include <vector>
 
+#include "common/enum_names.hpp"
 #include "boot/soc.hpp"
 #include "common/status.hpp"
 #include "fault/injector.hpp"
@@ -42,14 +43,9 @@ namespace hermes::fdir {
 /// Mission posture, monotone for a given run: kNominal → kDegraded → kSafe.
 /// A successful rollback keeps the system degraded (the fault environment
 /// that forced it is still there); only safe mode is terminal.
-enum class FdirMode : std::uint8_t {
-  kNominal = 0,
-  kDegraded = 1,
-  kSafe = 2,
-  kCount,  ///< sentinel for exhaustiveness tests — keep last
-};
-
-const char* to_string(FdirMode mode);
+#define HERMES_FDIR_MODES(X)                                                  \
+  X(kNominal, "nominal") X(kDegraded, "degraded") X(kSafe, "safe")
+HERMES_ENUM(FdirMode, std::uint8_t, HERMES_FDIR_MODES)
 
 struct FdirConfig {
   PolicyConfig policy;

@@ -34,37 +34,4 @@ bool parse_type_name(std::string_view name, Type& out) {
   return false;
 }
 
-const char* to_string(UnaryOp op) {
-  switch (op) {
-    case UnaryOp::kNeg: return "-";
-    case UnaryOp::kNot: return "!";
-    case UnaryOp::kBitNot: return "~";
-  }
-  return "?";
-}
-
-const char* to_string(BinaryOp op) {
-  switch (op) {
-    case BinaryOp::kAdd: return "+";
-    case BinaryOp::kSub: return "-";
-    case BinaryOp::kMul: return "*";
-    case BinaryOp::kDiv: return "/";
-    case BinaryOp::kRem: return "%";
-    case BinaryOp::kAnd: return "&";
-    case BinaryOp::kOr: return "|";
-    case BinaryOp::kXor: return "^";
-    case BinaryOp::kShl: return "<<";
-    case BinaryOp::kShr: return ">>";
-    case BinaryOp::kEq: return "==";
-    case BinaryOp::kNe: return "!=";
-    case BinaryOp::kLt: return "<";
-    case BinaryOp::kLe: return "<=";
-    case BinaryOp::kGt: return ">";
-    case BinaryOp::kGe: return ">=";
-    case BinaryOp::kLogicalAnd: return "&&";
-    case BinaryOp::kLogicalOr: return "||";
-  }
-  return "?";
-}
-
 }  // namespace hermes::fe

@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "common/enum_names.hpp"
 #include "frontend/lexer.hpp"
 
 namespace hermes::fe {
@@ -34,16 +35,16 @@ bool parse_type_name(std::string_view name, Type& out);
 // Expressions
 // ---------------------------------------------------------------------------
 
-enum class UnaryOp : std::uint8_t { kNeg, kNot, kBitNot };
-enum class BinaryOp : std::uint8_t {
-  kAdd, kSub, kMul, kDiv, kRem,
-  kAnd, kOr, kXor, kShl, kShr,
-  kEq, kNe, kLt, kLe, kGt, kGe,
-  kLogicalAnd, kLogicalOr,
-};
+#define HERMES_UNARY_OPS(X)                                                   \
+  X(kNeg, "-") X(kNot, "!") X(kBitNot, "~")
+HERMES_ENUM(UnaryOp, std::uint8_t, HERMES_UNARY_OPS)
 
-const char* to_string(UnaryOp op);
-const char* to_string(BinaryOp op);
+#define HERMES_BINARY_OPS(X)                                                  \
+  X(kAdd, "+") X(kSub, "-") X(kMul, "*") X(kDiv, "/") X(kRem, "%")            \
+  X(kAnd, "&") X(kOr, "|") X(kXor, "^") X(kShl, "<<") X(kShr, ">>")           \
+  X(kEq, "==") X(kNe, "!=") X(kLt, "<") X(kLe, "<=") X(kGt, ">") X(kGe, ">=") \
+  X(kLogicalAnd, "&&") X(kLogicalOr, "||")
+HERMES_ENUM(BinaryOp, std::uint8_t, HERMES_BINARY_OPS)
 
 struct Expr {
   enum class Kind : std::uint8_t {

@@ -1,83 +1,21 @@
 #include "frontend/lexer.hpp"
 
 #include <cctype>
-#include <unordered_map>
 
 #include "common/strings.hpp"
 
 namespace hermes::fe {
 
-const char* to_string(TokKind kind) {
-  switch (kind) {
-    case TokKind::kEof: return "<eof>";
-    case TokKind::kIdentifier: return "identifier";
-    case TokKind::kIntLiteral: return "integer literal";
-    case TokKind::kKwVoid: return "void";
-    case TokKind::kKwBool: return "bool";
-    case TokKind::kKwIf: return "if";
-    case TokKind::kKwElse: return "else";
-    case TokKind::kKwFor: return "for";
-    case TokKind::kKwWhile: return "while";
-    case TokKind::kKwDo: return "do";
-    case TokKind::kKwReturn: return "return";
-    case TokKind::kKwBreak: return "break";
-    case TokKind::kKwContinue: return "continue";
-    case TokKind::kKwTrue: return "true";
-    case TokKind::kKwFalse: return "false";
-    case TokKind::kKwConst: return "const";
-    case TokKind::kLParen: return "(";
-    case TokKind::kRParen: return ")";
-    case TokKind::kLBrace: return "{";
-    case TokKind::kRBrace: return "}";
-    case TokKind::kLBracket: return "[";
-    case TokKind::kRBracket: return "]";
-    case TokKind::kComma: return ",";
-    case TokKind::kSemicolon: return ";";
-    case TokKind::kQuestion: return "?";
-    case TokKind::kColon: return ":";
-    case TokKind::kPlus: return "+";
-    case TokKind::kMinus: return "-";
-    case TokKind::kStar: return "*";
-    case TokKind::kSlash: return "/";
-    case TokKind::kPercent: return "%";
-    case TokKind::kAmp: return "&";
-    case TokKind::kPipe: return "|";
-    case TokKind::kCaret: return "^";
-    case TokKind::kTilde: return "~";
-    case TokKind::kBang: return "!";
-    case TokKind::kShl: return "<<";
-    case TokKind::kShr: return ">>";
-    case TokKind::kLt: return "<";
-    case TokKind::kGt: return ">";
-    case TokKind::kLe: return "<=";
-    case TokKind::kGe: return ">=";
-    case TokKind::kEqEq: return "==";
-    case TokKind::kNe: return "!=";
-    case TokKind::kAmpAmp: return "&&";
-    case TokKind::kPipePipe: return "||";
-    case TokKind::kAssign: return "=";
-    case TokKind::kPlusAssign: return "+=";
-    case TokKind::kMinusAssign: return "-=";
-    case TokKind::kStarAssign: return "*=";
-    case TokKind::kPlusPlus: return "++";
-    case TokKind::kMinusMinus: return "--";
-  }
-  return "?";
-}
-
 namespace {
 
-const std::unordered_map<std::string_view, TokKind>& keyword_table() {
-  static const std::unordered_map<std::string_view, TokKind> table = {
-      {"void", TokKind::kKwVoid},     {"bool", TokKind::kKwBool},
-      {"if", TokKind::kKwIf},         {"else", TokKind::kKwElse},
-      {"for", TokKind::kKwFor},       {"while", TokKind::kKwWhile},
-      {"do", TokKind::kKwDo},         {"return", TokKind::kKwReturn},
-      {"break", TokKind::kKwBreak},   {"continue", TokKind::kKwContinue},
-      {"true", TokKind::kKwTrue},     {"false", TokKind::kKwFalse},
-      {"const", TokKind::kKwConst},
-  };
-  return table;
+/// The keyword entries of the TokKind list (kKwVoid..kKwConst) are named by
+/// their spelling; any other word is an identifier.
+TokKind keyword_or_identifier(std::string_view text) {
+  for (auto k = static_cast<std::size_t>(TokKind::kKwVoid);
+       k <= static_cast<std::size_t>(TokKind::kKwConst); ++k) {
+    if (text == kTokKindNames[k]) return static_cast<TokKind>(k);
+  }
+  return TokKind::kIdentifier;
 }
 
 class Lexer {
@@ -159,9 +97,7 @@ class Lexer {
     while (!at_end() && (std::isalnum(static_cast<unsigned char>(peek())) || peek() == '_')) {
       text.push_back(advance());
     }
-    const auto& keywords = keyword_table();
-    const auto it = keywords.find(text);
-    token.kind = it != keywords.end() ? it->second : TokKind::kIdentifier;
+    token.kind = keyword_or_identifier(text);
     token.text = std::move(text);
   }
 

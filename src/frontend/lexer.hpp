@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "common/enum_names.hpp"
 #include "common/status.hpp"
 
 namespace hermes::fe {
@@ -20,26 +21,25 @@ struct SrcLoc {
   unsigned column = 1;
 };
 
-enum class TokKind : std::uint8_t {
-  kEof,
-  kIdentifier,
-  kIntLiteral,
-  // Keywords.
-  kKwVoid, kKwBool, kKwIf, kKwElse, kKwFor, kKwWhile, kKwDo,
-  kKwReturn, kKwBreak, kKwContinue, kKwTrue, kKwFalse, kKwConst,
-  // Punctuation / operators.
-  kLParen, kRParen, kLBrace, kRBrace, kLBracket, kRBracket,
-  kComma, kSemicolon, kQuestion, kColon,
-  kPlus, kMinus, kStar, kSlash, kPercent,
-  kAmp, kPipe, kCaret, kTilde, kBang,
-  kShl, kShr,
-  kLt, kGt, kLe, kGe, kEqEq, kNe,
-  kAmpAmp, kPipePipe,
-  kAssign, kPlusAssign, kMinusAssign, kStarAssign,
-  kPlusPlus, kMinusMinus,
-};
-
-const char* to_string(TokKind kind);
+#define HERMES_TOK_KINDS(X)                                                   \
+  X(kEof, "<eof>") X(kIdentifier, "identifier")                               \
+  X(kIntLiteral, "integer literal")                                           \
+  /* Keywords, each named by its spelling: */                                 \
+  X(kKwVoid, "void") X(kKwBool, "bool") X(kKwIf, "if") X(kKwElse, "else")     \
+  X(kKwFor, "for") X(kKwWhile, "while") X(kKwDo, "do") X(kKwReturn, "return") \
+  X(kKwBreak, "break") X(kKwContinue, "continue") X(kKwTrue, "true")          \
+  X(kKwFalse, "false") X(kKwConst, "const")                                   \
+  /* Punctuation / operators: */                                              \
+  X(kLParen, "(") X(kRParen, ")") X(kLBrace, "{") X(kRBrace, "}")             \
+  X(kLBracket, "[") X(kRBracket, "]") X(kComma, ",") X(kSemicolon, ";")       \
+  X(kQuestion, "?") X(kColon, ":") X(kPlus, "+") X(kMinus, "-") X(kStar, "*") \
+  X(kSlash, "/") X(kPercent, "%") X(kAmp, "&") X(kPipe, "|") X(kCaret, "^")   \
+  X(kTilde, "~") X(kBang, "!") X(kShl, "<<") X(kShr, ">>") X(kLt, "<")        \
+  X(kGt, ">") X(kLe, "<=") X(kGe, ">=") X(kEqEq, "==") X(kNe, "!=")           \
+  X(kAmpAmp, "&&") X(kPipePipe, "||") X(kAssign, "=") X(kPlusAssign, "+=")    \
+  X(kMinusAssign, "-=") X(kStarAssign, "*=") X(kPlusPlus, "++")               \
+  X(kMinusMinus, "--")
+HERMES_ENUM(TokKind, std::uint8_t, HERMES_TOK_KINDS)
 
 struct Token {
   TokKind kind = TokKind::kEof;

@@ -95,32 +95,6 @@ std::string to_xml(const FpgaTarget& target,
   return xml.str();
 }
 
-}  // namespace hermes::hls
-
-namespace hermes::hls {
-namespace {
-
-/// Reverse of ir::to_string for the operations Eucalyptus characterizes.
-bool op_from_string(std::string_view name, ir::Op& out) {
-  static const std::pair<const char*, ir::Op> kOps[] = {
-      {"add", ir::Op::kAdd},   {"sub", ir::Op::kSub}, {"mul", ir::Op::kMul},
-      {"div", ir::Op::kDiv},   {"rem", ir::Op::kRem}, {"and", ir::Op::kAnd},
-      {"or", ir::Op::kOr},     {"xor", ir::Op::kXor}, {"shl", ir::Op::kShl},
-      {"shr", ir::Op::kShr},   {"eq", ir::Op::kEq},   {"ne", ir::Op::kNe},
-      {"lt", ir::Op::kLt},     {"le", ir::Op::kLe},   {"select", ir::Op::kSelect},
-      {"load", ir::Op::kLoad}, {"store", ir::Op::kStore},
-  };
-  for (const auto& [text, op] : kOps) {
-    if (name == text) {
-      out = op;
-      return true;
-    }
-  }
-  return false;
-}
-
-}  // namespace
-
 Result<std::vector<CharacterizationPoint>> from_xml(std::string_view document,
                                                     std::string* device_name) {
   auto parsed = parse_xml(document);
@@ -137,11 +111,14 @@ Result<std::vector<CharacterizationPoint>> from_xml(std::string_view document,
   for (const auto& cell : root.children) {
     if (cell->name != "cell") continue;
     CharacterizationPoint point;
-    if (!op_from_string(cell->attr("operation"), point.op)) {
+    // Terminators are control flow, never a characterized datapath cell.
+    const auto op = from_name<ir::Op>(cell->attr("operation"));
+    if (!op || ir::is_terminator(*op)) {
       return Status::Error(ErrorCode::kParseError,
                            format("unknown operation '%s'",
                                   cell->attr("operation").c_str()));
     }
+    point.op = *op;
     point.width = static_cast<unsigned>(cell->attr_int("width", 32));
     point.pipeline_stages =
         static_cast<unsigned>(cell->attr_int("pipeline_stages", 0));

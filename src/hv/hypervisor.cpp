@@ -7,39 +7,6 @@
 
 namespace hermes::hv {
 
-const char* to_string(PartitionState state) {
-  switch (state) {
-    case PartitionState::kBoot: return "BOOT";
-    case PartitionState::kNormal: return "NORMAL";
-    case PartitionState::kIdle: return "IDLE";
-    case PartitionState::kSuspended: return "SUSPENDED";
-    case PartitionState::kHalted: return "HALTED";
-  }
-  return "?";
-}
-
-const char* to_string(HmEvent event) {
-  switch (event) {
-    case HmEvent::kMemoryViolation: return "memory_violation";
-    case HmEvent::kDeadlineMiss: return "deadline_miss";
-    case HmEvent::kBudgetOverrun: return "budget_overrun";
-    case HmEvent::kIllegalHypercall: return "illegal_hypercall";
-    case HmEvent::kPartitionError: return "partition_error";
-  }
-  return "?";
-}
-
-const char* to_string(HmAction action) {
-  switch (action) {
-    case HmAction::kIgnore: return "ignore";
-    case HmAction::kLog: return "log";
-    case HmAction::kSuspendPartition: return "suspend";
-    case HmAction::kHaltPartition: return "halt";
-    case HmAction::kRestartPartition: return "restart";
-  }
-  return "?";
-}
-
 // ---------------------------------------------------------------------------
 // PartitionApi
 // ---------------------------------------------------------------------------

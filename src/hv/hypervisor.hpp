@@ -176,7 +176,6 @@ class Hypervisor {
   [[nodiscard]] PartitionState partition_state(PartitionId id) const {
     return state_.at(id).state;
   }
-  [[nodiscard]] std::size_t current_plan() const { return active_plan_; }
 
  private:
   friend class PartitionApi;
@@ -203,12 +202,6 @@ class Hypervisor {
     std::size_t last_running = SIZE_MAX;  ///< preemption detection
     unsigned restarts = 0;   ///< HM restarts consumed from the budget
     bool escalated = false;  ///< budget spent; next restart request halts
-    [[nodiscard]] bool has_pending() const {
-      for (const ProcessRt& rt : processes) {
-        if (!rt.queue.empty()) return true;
-      }
-      return false;
-    }
   };
 
 

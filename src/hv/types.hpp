@@ -14,6 +14,8 @@
 #include <string>
 #include <vector>
 
+#include "common/enum_names.hpp"
+
 namespace hermes::hv {
 
 using Time = std::uint64_t;          ///< microseconds since boot
@@ -22,15 +24,18 @@ inline constexpr PartitionId kNoPartition = ~0u;
 inline constexpr unsigned kNumCores = 4;  ///< quad-core ARM R52 (paper Fig. 1)
 
 /// Partition operating states (XtratuM partition life cycle).
-enum class PartitionState : std::uint8_t {
-  kBoot,      ///< loaded, not yet running
-  kNormal,    ///< scheduled according to the plan
-  kIdle,      ///< voluntarily idle until next slot
-  kSuspended, ///< removed from scheduling (HM action or hypercall)
-  kHalted,    ///< terminally stopped
-};
-
-const char* to_string(PartitionState state);
+#define HERMES_PARTITION_STATES(X)                                            \
+  /* loaded, not yet running */                                               \
+  X(kBoot, "BOOT")                                                            \
+  /* scheduled according to the plan */                                       \
+  X(kNormal, "NORMAL")                                                        \
+  /* voluntarily idle until next slot */                                      \
+  X(kIdle, "IDLE")                                                            \
+  /* removed from scheduling (HM action or hypercall) */                      \
+  X(kSuspended, "SUSPENDED")                                                  \
+  /* terminally stopped */                                                    \
+  X(kHalted, "HALTED")
+HERMES_ENUM(PartitionState, std::uint8_t, HERMES_PARTITION_STATES)
 
 /// Space partitioning: one contiguous memory region per partition (MPU
 /// granularity on the R52 is region-based, not paged).
@@ -46,26 +51,24 @@ struct MemRegion {
 };
 
 /// Health-monitor events (subset of the XtratuM HM table).
-enum class HmEvent : std::uint8_t {
-  kMemoryViolation,   ///< access outside the partition's regions
-  kDeadlineMiss,      ///< partition job overran its deadline
-  kBudgetOverrun,     ///< job needed more CPU than the slot provided (detected)
-  kIllegalHypercall,  ///< hypercall not permitted to this partition
-  kPartitionError,    ///< partition raised an error itself
-};
-
-const char* to_string(HmEvent event);
+#define HERMES_HM_EVENTS(X)                                                   \
+  /* access outside the partition's regions */                                \
+  X(kMemoryViolation, "memory_violation")                                     \
+  /* partition job overran its deadline */                                    \
+  X(kDeadlineMiss, "deadline_miss")                                           \
+  /* job needed more CPU than the slot provided (detected) */                 \
+  X(kBudgetOverrun, "budget_overrun")                                         \
+  /* hypercall not permitted to this partition */                             \
+  X(kIllegalHypercall, "illegal_hypercall")                                   \
+  /* partition raised an error itself */                                      \
+  X(kPartitionError, "partition_error")
+HERMES_ENUM(HmEvent, std::uint8_t, HERMES_HM_EVENTS)
 
 /// Health-monitor actions.
-enum class HmAction : std::uint8_t {
-  kIgnore,
-  kLog,
-  kSuspendPartition,
-  kHaltPartition,
-  kRestartPartition,
-};
-
-const char* to_string(HmAction action);
+#define HERMES_HM_ACTIONS(X)                                                  \
+  X(kIgnore, "ignore") X(kLog, "log") X(kSuspendPartition, "suspend")         \
+  X(kHaltPartition, "halt") X(kRestartPartition, "restart")
+HERMES_ENUM(HmAction, std::uint8_t, HERMES_HM_ACTIONS)
 
 /// One scheduling slot of the cyclic plan (per core).
 struct Slot {

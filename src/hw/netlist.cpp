@@ -3,44 +3,10 @@
 #include <cassert>
 #include <unordered_set>
 
+#include "common/fnv.hpp"
 #include "common/strings.hpp"
 
 namespace hermes::hw {
-
-const char* to_string(CellKind kind) {
-  switch (kind) {
-    case CellKind::kConst: return "const";
-    case CellKind::kAdd: return "add";
-    case CellKind::kSub: return "sub";
-    case CellKind::kMul: return "mul";
-    case CellKind::kDivU: return "divu";
-    case CellKind::kDivS: return "divs";
-    case CellKind::kRemU: return "remu";
-    case CellKind::kRemS: return "rems";
-    case CellKind::kAnd: return "and";
-    case CellKind::kOr: return "or";
-    case CellKind::kXor: return "xor";
-    case CellKind::kNot: return "not";
-    case CellKind::kShl: return "shl";
-    case CellKind::kShrU: return "shru";
-    case CellKind::kShrS: return "shrs";
-    case CellKind::kEq: return "eq";
-    case CellKind::kNe: return "ne";
-    case CellKind::kLtU: return "ltu";
-    case CellKind::kLtS: return "lts";
-    case CellKind::kLeU: return "leu";
-    case CellKind::kLeS: return "les";
-    case CellKind::kMux: return "mux";
-    case CellKind::kZext: return "zext";
-    case CellKind::kSext: return "sext";
-    case CellKind::kSlice: return "slice";
-    case CellKind::kConcat: return "concat";
-    case CellKind::kRegister: return "register";
-    case CellKind::kRamRead: return "ram_read";
-    case CellKind::kRamWrite: return "ram_write";
-  }
-  return "?";
-}
 
 bool is_sequential(CellKind kind) {
   return kind == CellKind::kRegister || kind == CellKind::kRamRead ||
@@ -238,12 +204,9 @@ NetlistStats Module::stats() const {
 }
 
 std::uint64_t Module::digest() const {
-  std::uint64_t hash = 14695981039346656037ULL;
+  std::uint64_t hash = fnv::kOffsetBasis;
   const auto mix = [&hash](std::uint64_t value) {
-    for (int i = 0; i < 8; ++i) {
-      hash ^= (value >> (8 * i)) & 0xFF;
-      hash *= 1099511628211ULL;
-    }
+    hash = fnv::mix_le64(hash, value);
   };
   mix(wire_widths_.size());
   for (unsigned width : wire_widths_) mix(width);

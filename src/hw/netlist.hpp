@@ -20,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "common/enum_names.hpp"
 #include "common/status.hpp"
 
 namespace hermes::hw {
@@ -29,24 +30,32 @@ inline constexpr WireId kNoWire = ~static_cast<WireId>(0);
 
 /// Word-level cell kinds. Comb cells compute outputs from inputs within a
 /// cycle; kRegister / kRamRead / kRamWrite are sequential.
-enum class CellKind : std::uint8_t {
-  kConst,   ///< outputs[0] = param (no inputs)
-  kAdd, kSub, kMul,
-  kDivU, kDivS, kRemU, kRemS,
-  kAnd, kOr, kXor, kNot,
-  kShl, kShrU, kShrS,
-  kEq, kNe, kLtU, kLtS, kLeU, kLeS,
-  kMux,     ///< inputs {sel, in0, in1}: out = sel ? in1 : in0
-  kZext,    ///< zero-extend / truncate input to the output width
-  kSext,    ///< sign-extend input (width from input wire) to the output width
-  kSlice,   ///< out = input >> param, truncated to output width
-  kConcat,  ///< inputs LSB-first; output width = sum of input widths
-  kRegister,///< inputs {d, en}; outputs {q}; param = reset value
-  kRamRead, ///< inputs {addr, en}; outputs {data}; param = memory index. Synchronous read.
-  kRamWrite,///< inputs {addr, data, en}; no outputs; param = memory index
-};
-
-const char* to_string(CellKind kind);
+#define HERMES_CELL_KINDS(X)                                                  \
+  /* outputs[0] = param (no inputs) */                                        \
+  X(kConst, "const")                                                          \
+  X(kAdd, "add") X(kSub, "sub") X(kMul, "mul") X(kDivU, "divu")               \
+  X(kDivS, "divs") X(kRemU, "remu") X(kRemS, "rems") X(kAnd, "and")           \
+  X(kOr, "or") X(kXor, "xor") X(kNot, "not") X(kShl, "shl") X(kShrU, "shru")  \
+  X(kShrS, "shrs") X(kEq, "eq") X(kNe, "ne") X(kLtU, "ltu") X(kLtS, "lts")    \
+  X(kLeU, "leu") X(kLeS, "les")                                               \
+  /* inputs {sel, in0, in1}: out = sel ? in1 : in0 */                         \
+  X(kMux, "mux")                                                              \
+  /* zero-extend / truncate input to the output width */                      \
+  X(kZext, "zext")                                                            \
+  /* sign-extend input (width from input wire) to the output width */         \
+  X(kSext, "sext")                                                            \
+  /* out = input >> param, truncated to output width */                       \
+  X(kSlice, "slice")                                                          \
+  /* inputs LSB-first; output width = sum of input widths */                  \
+  X(kConcat, "concat")                                                        \
+  /* inputs {d, en}; outputs {q}; param = reset value */                      \
+  X(kRegister, "register")                                                    \
+  /* inputs {addr, en}; outputs {data}; param = memory index. Synchronous     \
+     read. */                                                                 \
+  X(kRamRead, "ram_read")                                                     \
+  /* inputs {addr, data, en}; no outputs; param = memory index */             \
+  X(kRamWrite, "ram_write")
+HERMES_ENUM(CellKind, std::uint8_t, HERMES_CELL_KINDS)
 
 /// True for cells whose outputs change only on the clock edge.
 bool is_sequential(CellKind kind);

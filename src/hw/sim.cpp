@@ -12,15 +12,6 @@
 
 namespace hermes::hw {
 
-const char* to_string(SimBackend backend) {
-  switch (backend) {
-    case SimBackend::kEvent: return "event";
-    case SimBackend::kSweep: return "sweep";
-    case SimBackend::kJit: return "jit";
-  }
-  return "?";
-}
-
 Simulator::Simulator(const Module& module, SimOptions options)
     : module_(module), options_(options) {
   status_ = module.validate();

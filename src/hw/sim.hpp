@@ -34,6 +34,7 @@
 #include <string>
 #include <vector>
 
+#include "common/enum_names.hpp"
 #include "common/status.hpp"
 #include "hw/netlist.hpp"
 
@@ -48,9 +49,9 @@ class JitKernel;
 /// Engine selection. The event-driven engine is the default; the full-sweep
 /// path is retained as the oracle for differential testing; the JIT backend
 /// degrades to kEvent when native execution is unavailable.
-enum class SimBackend : std::uint8_t { kEvent, kSweep, kJit };
-
-const char* to_string(SimBackend backend);
+#define HERMES_SIM_BACKENDS(X)                                                \
+  X(kEvent, "event") X(kSweep, "sweep") X(kJit, "jit")
+HERMES_ENUM(SimBackend, std::uint8_t, HERMES_SIM_BACKENDS)
 
 struct SimOptions {
   SimBackend backend = SimBackend::kEvent;

@@ -4,19 +4,6 @@
 
 namespace hermes::ir {
 
-const char* to_string(DepKind kind) {
-  switch (kind) {
-    case DepKind::kRaw: return "raw";
-    case DepKind::kWar: return "war";
-    case DepKind::kWaw: return "waw";
-    case DepKind::kMemRaw: return "mem_raw";
-    case DepKind::kMemWar: return "mem_war";
-    case DepKind::kMemWaw: return "mem_waw";
-    case DepKind::kControl: return "control";
-  }
-  return "?";
-}
-
 BlockCdfg build_block_cdfg(const Function& function, BlockId block_id) {
   const Block& block = function.block(block_id);
   BlockCdfg cdfg;

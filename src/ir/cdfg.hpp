@@ -14,21 +14,20 @@
 #include <cstddef>
 #include <vector>
 
+#include "common/enum_names.hpp"
 #include "ir/ir.hpp"
 
 namespace hermes::ir {
 
-enum class DepKind : std::uint8_t {
-  kRaw,           ///< register read-after-write
-  kWar,           ///< register write-after-read
-  kWaw,           ///< register write-after-write
-  kMemRaw,        ///< load after store, same memory
-  kMemWar,        ///< store after load, same memory
-  kMemWaw,        ///< store after store, same memory
-  kControl,       ///< terminator ordering
-};
-
-const char* to_string(DepKind kind);
+#define HERMES_DEP_KINDS(X)                                                   \
+  X(kRaw, "raw")          /* register read-after-write */                     \
+  X(kWar, "war")          /* register write-after-read */                     \
+  X(kWaw, "waw")          /* register write-after-write */                    \
+  X(kMemRaw, "mem_raw")   /* load after store, same memory */                 \
+  X(kMemWar, "mem_war")   /* store after load, same memory */                 \
+  X(kMemWaw, "mem_waw")   /* store after store, same memory */                \
+  X(kControl, "control")  /* terminator ordering */
+HERMES_ENUM(DepKind, std::uint8_t, HERMES_DEP_KINDS)
 
 struct Dep {
   std::size_t on = 0;  ///< index of the earlier instruction

@@ -11,38 +11,6 @@ std::string IrType::to_string() const {
   return format("%c%u", is_signed ? 'i' : 'u', bits);
 }
 
-const char* to_string(Op op) {
-  switch (op) {
-    case Op::kConst: return "const";
-    case Op::kCopy: return "copy";
-    case Op::kAdd: return "add";
-    case Op::kSub: return "sub";
-    case Op::kMul: return "mul";
-    case Op::kDiv: return "div";
-    case Op::kRem: return "rem";
-    case Op::kAnd: return "and";
-    case Op::kOr: return "or";
-    case Op::kXor: return "xor";
-    case Op::kNot: return "not";
-    case Op::kShl: return "shl";
-    case Op::kShr: return "shr";
-    case Op::kEq: return "eq";
-    case Op::kNe: return "ne";
-    case Op::kLt: return "lt";
-    case Op::kLe: return "le";
-    case Op::kSelect: return "select";
-    case Op::kZext: return "zext";
-    case Op::kSext: return "sext";
-    case Op::kTrunc: return "trunc";
-    case Op::kLoad: return "load";
-    case Op::kStore: return "store";
-    case Op::kBr: return "br";
-    case Op::kCondBr: return "condbr";
-    case Op::kRet: return "ret";
-  }
-  return "?";
-}
-
 bool is_terminator(Op op) {
   return op == Op::kBr || op == Op::kCondBr || op == Op::kRet;
 }

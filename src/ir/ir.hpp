@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "common/enum_names.hpp"
 #include "common/status.hpp"
 
 namespace hermes::ir {
@@ -32,24 +33,22 @@ struct IrType {
   [[nodiscard]] std::string to_string() const;
 };
 
-enum class Op : std::uint8_t {
-  kConst,   ///< dest = imm
-  kCopy,    ///< dest = src0
-  kAdd, kSub, kMul, kDiv, kRem,
-  kAnd, kOr, kXor, kNot,
-  kShl, kShr,
-  kEq, kNe, kLt, kLe,
-  kSelect,  ///< dest = src0 ? src1 : src2
-  kZext, kSext, kTrunc,
-  kLoad,    ///< dest = mem[imm][src0]
-  kStore,   ///< mem[imm][src0] = src1
-  // Terminators.
-  kBr,      ///< goto target0
-  kCondBr,  ///< src0 ? target0 : target1
-  kRet,     ///< return src0 (or void if src0 == kNoReg)
-};
+#define HERMES_IR_OPS(X)                                                      \
+  X(kConst, "const")    /* dest = imm */                                      \
+  X(kCopy, "copy")      /* dest = src0 */                                     \
+  X(kAdd, "add") X(kSub, "sub") X(kMul, "mul") X(kDiv, "div") X(kRem, "rem")  \
+  X(kAnd, "and") X(kOr, "or") X(kXor, "xor") X(kNot, "not") X(kShl, "shl")    \
+  X(kShr, "shr") X(kEq, "eq") X(kNe, "ne") X(kLt, "lt") X(kLe, "le")          \
+  X(kSelect, "select")  /* dest = src0 ? src1 : src2 */                       \
+  X(kZext, "zext") X(kSext, "sext") X(kTrunc, "trunc")                        \
+  X(kLoad, "load")      /* dest = mem[imm][src0] */                           \
+  X(kStore, "store")    /* mem[imm][src0] = src1 */                           \
+  /* Terminators: */                                                          \
+  X(kBr, "br")          /* goto target0 */                                    \
+  X(kCondBr, "condbr")  /* src0 ? target0 : target1 */                        \
+  X(kRet, "ret")        /* return src0 (or void if src0 == kNoReg) */
+HERMES_ENUM(Op, std::uint8_t, HERMES_IR_OPS)
 
-const char* to_string(Op op);
 [[nodiscard]] bool is_terminator(Op op);
 /// True for instructions with effects beyond their destination register.
 [[nodiscard]] bool has_side_effects(Op op);

@@ -4,26 +4,23 @@
 #include <cassert>
 
 #include "common/backoff.hpp"
+#include "common/fnv.hpp"
 #include "common/strings.hpp"
 
 namespace hermes::noc {
 namespace {
 
-std::uint64_t fnv_mix(std::uint64_t hash, std::uint64_t value) {
-  hash ^= value;
-  return hash * 1099511628211ULL;
-}
-constexpr std::uint64_t kFnvBasis = 14695981039346656037ULL;
+using fnv::mix_word;
 
 /// Per-beat CRC carried across the fabric: covers the routing tuple and the
 /// payload, so an in-flight payload flip is always detected at the endpoint.
 std::uint32_t beat_crc(std::uint32_t port, std::uint32_t endpoint,
                        std::uint32_t seq, std::uint64_t payload) {
-  std::uint64_t hash = kFnvBasis;
-  hash = fnv_mix(hash, port);
-  hash = fnv_mix(hash, endpoint);
-  hash = fnv_mix(hash, seq);
-  hash = fnv_mix(hash, payload);
+  std::uint64_t hash = fnv::kOffsetBasis;
+  hash = mix_word(hash, port);
+  hash = mix_word(hash, endpoint);
+  hash = mix_word(hash, seq);
+  hash = mix_word(hash, payload);
   return static_cast<std::uint32_t>(hash ^ (hash >> 32));
 }
 
@@ -40,43 +37,43 @@ constexpr std::string_view kNocPoints[] = {
 std::span<const std::string_view> noc_point_catalog() { return kNocPoints; }
 
 std::uint64_t FabricResult::fingerprint() const {
-  std::uint64_t hash = kFnvBasis;
-  hash = fnv_mix(hash, static_cast<std::uint64_t>(status.code()));
-  hash = fnv_mix(hash, cycles);
-  hash = fnv_mix(hash, silent);
-  for (const std::uint64_t digest : domain_digest) hash = fnv_mix(hash, digest);
+  std::uint64_t hash = fnv::kOffsetBasis;
+  hash = mix_word(hash, static_cast<std::uint64_t>(status.code()));
+  hash = mix_word(hash, cycles);
+  hash = mix_word(hash, silent);
+  for (const std::uint64_t digest : domain_digest) hash = mix_word(hash, digest);
   for (const DomainStats& d : domains) {
-    hash = fnv_mix(hash, d.completed);
-    hash = fnv_mix(hash, d.failed);
-    hash = fnv_mix(hash, d.retries);
-    hash = fnv_mix(hash, d.timeouts);
-    hash = fnv_mix(hash, d.corrupt_detected);
-    hash = fnv_mix(hash, d.credit_leaks_recovered);
-    hash = fnv_mix(hash, d.arb_stalls);
-    hash = fnv_mix(hash, d.quarantines);
-    hash = fnv_mix(hash, d.readmissions);
-    hash = fnv_mix(hash, d.drained);
+    hash = mix_word(hash, d.completed);
+    hash = mix_word(hash, d.failed);
+    hash = mix_word(hash, d.retries);
+    hash = mix_word(hash, d.timeouts);
+    hash = mix_word(hash, d.corrupt_detected);
+    hash = mix_word(hash, d.credit_leaks_recovered);
+    hash = mix_word(hash, d.arb_stalls);
+    hash = mix_word(hash, d.quarantines);
+    hash = mix_word(hash, d.readmissions);
+    hash = mix_word(hash, d.drained);
   }
   for (const PortStats& p : ports) {
-    hash = fnv_mix(hash, p.injected);
-    hash = fnv_mix(hash, p.granted);
-    hash = fnv_mix(hash, p.completed);
-    hash = fnv_mix(hash, p.retries);
-    hash = fnv_mix(hash, p.failed);
-    hash = fnv_mix(hash, p.timeouts);
-    hash = fnv_mix(hash, p.naks);
-    hash = fnv_mix(hash, p.stale_responses);
-    hash = fnv_mix(hash, p.starvation_promotions);
-    hash = fnv_mix(hash, p.rejected_masked);
-    hash = fnv_mix(hash, p.rejected_quarantined);
-    hash = fnv_mix(hash, p.latency_sum);
+    hash = mix_word(hash, p.injected);
+    hash = mix_word(hash, p.granted);
+    hash = mix_word(hash, p.completed);
+    hash = mix_word(hash, p.retries);
+    hash = mix_word(hash, p.failed);
+    hash = mix_word(hash, p.timeouts);
+    hash = mix_word(hash, p.naks);
+    hash = mix_word(hash, p.stale_responses);
+    hash = mix_word(hash, p.starvation_promotions);
+    hash = mix_word(hash, p.rejected_masked);
+    hash = mix_word(hash, p.rejected_quarantined);
+    hash = mix_word(hash, p.latency_sum);
   }
   for (const EndpointStats& e : endpoints) {
-    hash = fnv_mix(hash, e.consumed);
-    hash = fnv_mix(hash, e.responses);
-    hash = fnv_mix(hash, e.crc_rejected);
-    hash = fnv_mix(hash, e.wedges);
-    hash = fnv_mix(hash, e.watchdog_trips);
+    hash = mix_word(hash, e.consumed);
+    hash = mix_word(hash, e.responses);
+    hash = mix_word(hash, e.crc_rejected);
+    hash = mix_word(hash, e.wedges);
+    hash = mix_word(hash, e.watchdog_trips);
   }
   return hash;
 }
@@ -104,7 +101,7 @@ Crossbar::Crossbar(FabricConfig config, std::vector<PortConfig> ports,
     state.vc.resize(endpoints_.size());
     state.outstanding.resize(endpoints_.size());
     state.next_seq.assign(endpoints_.size(), 0);
-    state.pair_digest.assign(endpoints_.size(), kFnvBasis);
+    state.pair_digest.assign(endpoints_.size(), fnv::kOffsetBasis);
     ports_.push_back(std::move(state));
   }
   credits_.resize(ports_.size() * endpoints_.size());
@@ -438,8 +435,8 @@ void Crossbar::deliver_response(std::size_t endpoint,
   ++domains_[domain].completed;
   port.stats.latency_sum += now_ - record.release_cycle;
   std::uint64_t& digest = port.pair_digest[endpoint];
-  digest = fnv_mix(digest, record.seq);
-  digest = fnv_mix(digest, beat.payload);
+  digest = mix_word(digest, record.seq);
+  digest = mix_word(digest, beat.payload);
   ++resolved_;
 }
 
@@ -636,12 +633,12 @@ FabricResult Crossbar::run() {
 
   result.cycles = now_;
   result.silent = silent_;
-  result.domain_digest.assign(num_domains_, kFnvBasis);
+  result.domain_digest.assign(num_domains_, fnv::kOffsetBasis);
   for (std::size_t p = 0; p < ports_.size(); ++p) {
     for (std::size_t e = 0; e < endpoints_.size(); ++e) {
       const unsigned domain = endpoints_[e].config.domain;
       result.domain_digest[domain] =
-          fnv_mix(result.domain_digest[domain], ports_[p].pair_digest[e]);
+          mix_word(result.domain_digest[domain], ports_[p].pair_digest[e]);
     }
   }
   result.domains = domains_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/fnv.hpp"
 #include "common/rng.hpp"
 #include "fdir/event.hpp"
 
@@ -13,11 +14,6 @@ std::uint64_t splitmix(std::uint64_t& state) {
   z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
   z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
   return z ^ (z >> 31);
-}
-
-std::uint64_t fnv_mix(std::uint64_t hash, std::uint64_t value) {
-  hash ^= value;
-  return hash * 1099511628211ULL;
 }
 
 }  // namespace
@@ -76,7 +72,7 @@ std::vector<PortTraffic> workloads_from_taskgraph(const df::TaskGraph& graph,
     const std::uint32_t port = static_cast<std::uint32_t>(i) % num_ports;
     const std::uint32_t endpoint =
         static_cast<std::uint32_t>(graph.sources[i]) % num_endpoints;
-    std::uint64_t payload_state = seed ^ fnv_mix(0xD1F0ULL, i);
+    std::uint64_t payload_state = seed ^ fnv::mix_word(0xD1F0ULL, i);
     std::uint64_t cycle = 0;
     for (std::uint64_t t = 0; t < tokens; ++t) {
       BeatRequest request;
@@ -177,15 +173,15 @@ std::uint64_t run_noc_chaos_once(std::uint64_t seed,
   if (silent_out) *silent_out = result.silent;
 
   std::uint64_t fingerprint = result.fingerprint();
-  fingerprint = fnv_mix(fingerprint, injector.total_fires());
+  fingerprint = fnv::mix_word(fingerprint, injector.total_fires());
   std::vector<fdir::FdirEvent> events = bus.drain();
-  fingerprint = fnv_mix(fingerprint, events.size());
+  fingerprint = fnv::mix_word(fingerprint, events.size());
   for (const fdir::FdirEvent& event : events) {
-    fingerprint = fnv_mix(fingerprint, static_cast<std::uint64_t>(event.layer));
-    fingerprint = fnv_mix(fingerprint,
+    fingerprint = fnv::mix_word(fingerprint, static_cast<std::uint64_t>(event.layer));
+    fingerprint = fnv::mix_word(fingerprint,
                           static_cast<std::uint64_t>(event.severity));
-    fingerprint = fnv_mix(fingerprint, static_cast<std::uint64_t>(event.code));
-    fingerprint = fnv_mix(fingerprint, event.detail);
+    fingerprint = fnv::mix_word(fingerprint, static_cast<std::uint64_t>(event.code));
+    fingerprint = fnv::mix_word(fingerprint, event.detail);
   }
   return fingerprint;
 }

@@ -33,17 +33,6 @@ ir::Op op_for_cell(hw::CellKind kind) {
 
 }  // namespace
 
-const char* to_string(PrimKind kind) {
-  switch (kind) {
-    case PrimKind::kLutCluster: return "lut_cluster";
-    case PrimKind::kCarryChain: return "carry_chain";
-    case PrimKind::kDsp: return "dsp";
-    case PrimKind::kBram: return "bram";
-    case PrimKind::kFf: return "ff";
-  }
-  return "?";
-}
-
 Result<MappedDesign> techmap(const hw::Module& module, const NxDevice& device) {
   const hls::TechLibrary lib(device.target);
   MappedDesign design;

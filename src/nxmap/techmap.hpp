@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/enum_names.hpp"
 #include "common/status.hpp"
 #include "hls/techlib.hpp"
 #include "hw/netlist.hpp"
@@ -17,9 +18,10 @@
 
 namespace hermes::nx {
 
-enum class PrimKind : std::uint8_t { kLutCluster, kCarryChain, kDsp, kBram, kFf };
-
-const char* to_string(PrimKind kind);
+#define HERMES_PRIM_KINDS(X)                                                  \
+  X(kLutCluster, "lut_cluster") X(kCarryChain, "carry_chain") X(kDsp, "dsp")  \
+  X(kBram, "bram") X(kFf, "ff")
+HERMES_ENUM(PrimKind, std::uint8_t, HERMES_PRIM_KINDS)
 
 /// One mapped instance: the fabric realization of one netlist cell.
 struct MappedInstance {

@@ -3,6 +3,8 @@
 #include <span>
 #include <utility>
 
+#include "common/fnv.hpp"
+
 namespace hermes::svc {
 
 void FlowCache::attach_injector(fault::FaultInjector* injector) {
@@ -24,11 +26,7 @@ std::uint64_t FlowCache::slot_of(Stage stage, std::uint64_t key) {
 }
 
 std::uint64_t FlowCache::image_check(const std::vector<std::uint8_t>& image) {
-  std::uint64_t hash = 14695981039346656037ULL;
-  for (const std::uint8_t byte : image) {
-    hash = (hash ^ byte) * 1099511628211ULL;
-  }
-  return hash;
+  return fnv::mix_bytes(fnv::kOffsetBasis, image);
 }
 
 std::shared_ptr<const void> FlowCache::get_or_compute_erased(
@@ -157,14 +155,6 @@ void FlowCache::clear() {
   std::lock_guard<std::mutex> lock(mutex_);
   entries_.clear();
   stats_.bytes_in_use = 0;
-}
-
-void FlowCache::set_byte_budget(std::size_t byte_budget) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  byte_budget_ = byte_budget == 0 ? 1 : byte_budget;
-  while (stats_.bytes_in_use > byte_budget_ && entries_.size() > 1) {
-    evict_lru_locked();
-  }
 }
 
 std::size_t FlowCache::size() const {

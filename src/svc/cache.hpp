@@ -81,7 +81,6 @@ class FlowCache {
 
   [[nodiscard]] bool contains(Stage stage, std::uint64_t key) const;
   void clear();
-  void set_byte_budget(std::size_t byte_budget);
   [[nodiscard]] std::size_t size() const;
   [[nodiscard]] FlowCacheStats stats() const;
   void reset_stats();

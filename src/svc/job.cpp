@@ -2,17 +2,6 @@
 
 namespace hermes::svc {
 
-const char* to_string(Stage stage) {
-  switch (stage) {
-    case Stage::kCharacterize: return "characterize";
-    case Stage::kSchedule: return "schedule";
-    case Stage::kMap: return "map";
-    case Stage::kBitstream: return "bitstream";
-    case Stage::kCount: break;
-  }
-  return "unknown";
-}
-
 namespace {
 
 // Domain tags keep the four key spaces disjoint even for identical inputs.

@@ -18,6 +18,8 @@
 #include <string_view>
 #include <vector>
 
+#include "common/enum_names.hpp"
+#include "common/fnv.hpp"
 #include "common/status.hpp"
 #include "hls/eucalyptus.hpp"
 #include "hls/flow.hpp"
@@ -28,15 +30,16 @@ namespace hermes::svc {
 
 /// The stage pipeline, in execution order. A warm prefix (every stage up to
 /// some point cached) skips straight to the first cold stage.
-enum class Stage {
-  kCharacterize = 0,  ///< Eucalyptus sweep for the target (shared per target)
-  kSchedule,          ///< front-end + middle-end + scheduled/bound CDFG + FSMD
-  kMap,               ///< techmap + place + route + STA + power
-  kBitstream,         ///< packed, self-verified programming image
-  kCount,
-};
-
-const char* to_string(Stage stage);
+#define HERMES_SVC_STAGES(X)                                                  \
+  /* Eucalyptus sweep for the target (shared per target) */                   \
+  X(kCharacterize, "characterize")                                            \
+  /* front-end + middle-end + scheduled/bound CDFG + FSMD */                  \
+  X(kSchedule, "schedule")                                                    \
+  /* techmap + place + route + STA + power */                                 \
+  X(kMap, "map")                                                              \
+  /* packed, self-verified programming image */                               \
+  X(kBitstream, "bitstream")
+HERMES_ENUM(Stage, int, HERMES_SVC_STAGES)
 
 /// FNV-1a accumulator for stage-key derivation. Length-prefixes strings and
 /// byte spans so concatenations cannot alias ("ab"+"c" vs "a"+"bc").
@@ -45,9 +48,7 @@ class KeyBuilder {
   explicit KeyBuilder(std::uint64_t domain_tag) { u64(domain_tag); }
 
   KeyBuilder& u64(std::uint64_t value) {
-    for (int i = 0; i < 8; ++i) {
-      hash_ = (hash_ ^ ((value >> (8 * i)) & 0xFF)) * 1099511628211ULL;
-    }
+    hash_ = fnv::mix_le64(hash_, value);
     return *this;
   }
   KeyBuilder& f64(double value) {
@@ -57,16 +58,14 @@ class KeyBuilder {
   }
   KeyBuilder& str(std::string_view text) {
     u64(text.size());
-    for (const char c : text) {
-      hash_ = (hash_ ^ static_cast<unsigned char>(c)) * 1099511628211ULL;
-    }
+    hash_ = fnv::mix_bytes(hash_, text);
     return *this;
   }
 
   [[nodiscard]] std::uint64_t digest() const { return hash_; }
 
  private:
-  std::uint64_t hash_ = 14695981039346656037ULL;
+  std::uint64_t hash_ = fnv::kOffsetBasis;
 };
 
 /// One compile job. Source-level jobs carry a C kernel through the full

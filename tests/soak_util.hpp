@@ -9,14 +9,15 @@
 
 #include <cstdint>
 
+#include "common/fnv.hpp"
+
 namespace hermes::soak {
 
 /// FNV-1a accumulation over 64-bit words: the outcome fingerprint.
 inline std::uint64_t mix(std::uint64_t hash, std::uint64_t value) {
-  hash ^= value;
-  return hash * 1099511628211ULL;
+  return fnv::mix_word(hash, value);
 }
 
-inline constexpr std::uint64_t kFnvBasis = 14695981039346656037ULL;
+inline constexpr std::uint64_t kFnvBasis = fnv::kOffsetBasis;
 
 }  // namespace hermes::soak

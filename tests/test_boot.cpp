@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "boot/bl.hpp"
+#include "common/crc.hpp"
 #include "common/rng.hpp"
 #include "hls/flow.hpp"
 #include "nxmap/flow.hpp"
@@ -129,6 +130,66 @@ TEST(LoadListFormat, DetectsCorruption) {
   }
   bytes.resize(bytes.size() - 6);
   EXPECT_FALSE(parse_load_list(bytes).ok());
+}
+
+/// Rewrites the CRC trailer so a mutated image gets past the CRC check and
+/// reaches the field decoders.
+void reseal(std::vector<std::uint8_t>& bytes) {
+  if (bytes.size() < 4) return;
+  const std::uint32_t crc = crc32(bytes.data(), bytes.size() - 4);
+  for (int i = 0; i < 4; ++i) {
+    bytes[bytes.size() - 4 + i] = static_cast<std::uint8_t>(crc >> (8 * i));
+  }
+}
+
+// Seeded mutation loop over the decoder: bit flips, truncations and lies in
+// the count field, each resealed with a valid CRC. The parser must never
+// crash, and every image it accepts must be the one serialize() writes for
+// the decoded list — two different images never decode to one list.
+TEST(LoadListFormat, MutatedImagesRoundTripOrAreRejected) {
+  LoadList list;
+  list.entries.push_back(make_entry(LoadKind::kSoftware, "app",
+                                    pattern_image(64, 1), 0x100,
+                                    MemoryMap::kDdrBase));
+  list.entries.push_back(make_entry(LoadKind::kBitstream, "fpga",
+                                    pattern_image(32, 2), 0x800, 0));
+  list.entries.push_back(make_entry(LoadKind::kBl2, "bl2",
+                                    pattern_image(16, 3), 0x900,
+                                    MemoryMap::kDdrBase));
+  const std::vector<std::uint8_t> original = serialize(list);
+  constexpr std::size_t kEntryBytes = 73;
+  Rng rng(18);
+  std::size_t accepted = 0;
+  for (int trial = 0; trial < 3000; ++trial) {
+    std::vector<std::uint8_t> bytes = original;
+    switch (rng.next_below(3)) {
+      case 0: {  // one to three bit flips ahead of the CRC
+        const std::uint64_t flips = 1 + rng.next_below(3);
+        for (std::uint64_t f = 0; f < flips; ++f) {
+          bytes[rng.next_below(bytes.size() - 4)] ^=
+              static_cast<std::uint8_t>(1u << rng.next_below(8));
+        }
+        break;
+      }
+      case 1:  // truncation anywhere
+        bytes.resize(rng.next_below(bytes.size()));
+        break;
+      default: {  // a count lie, sometimes with the body resized to match
+        const auto count = static_cast<std::uint32_t>(rng.next_below(7));
+        for (int i = 0; i < 4; ++i) {
+          bytes[4 + i] = static_cast<std::uint8_t>(count >> (8 * i));
+        }
+        if (rng.next_below(2) == 0) bytes.resize(8 + count * kEntryBytes + 4);
+        break;
+      }
+    }
+    reseal(bytes);
+    const auto parsed = parse_load_list(bytes);
+    if (!parsed.ok()) continue;
+    ++accepted;
+    ASSERT_EQ(serialize(parsed.value()), bytes) << "trial " << trial;
+  }
+  EXPECT_GT(accepted, 0u);
 }
 
 TEST(Soc, RegionGating) {
@@ -319,6 +380,12 @@ struct BootEnvCase {
   double ber;
   BootSource source;
 };
+
+// Names each case by its fields: gtest's default byte dump would include the
+// struct's uninitialized padding, which changes the test name run to run.
+void PrintTo(const BootEnvCase& c, std::ostream* os) {
+  *os << to_string(c.source) << " x" << c.replicas << " ber " << c.ber;
+}
 
 class BootMatrix : public ::testing::TestWithParam<BootEnvCase> {};
 

@@ -1,68 +1,96 @@
-// Exhaustiveness tests for every enum with a to_string(): a new enum value
-// added without a name (say, a new ErrorCode or FDIR layer) must fail here
-// instead of printing "unknown"/"?" in reports and audit trails. Each enum
-// carries a kCount sentinel; the tests walk [0, kCount) and require every
-// name to be present and unique.
+// Name tests for every enum declared from a HERMES_ENUM list. A missing or
+// duplicate name cannot compile (enum_names.hpp static_asserts it); these
+// tests pin what the lists generate: enum_count<E> values, each with a name
+// that from_name maps back, and "?" for a value outside the list.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <set>
 #include <string>
 
+#include "axi/hls_axi.hpp"
+#include "axi/protocol.hpp"
+#include "boot/bl.hpp"
 #include "common/status.hpp"
+#include "fault/scrub_memory.hpp"
 #include "fdir/event.hpp"
 #include "fdir/policy.hpp"
 #include "fdir/supervisor.hpp"
+#include "frontend/ast.hpp"
+#include "frontend/lexer.hpp"
+#include "hv/types.hpp"
+#include "hw/netlist.hpp"
+#include "hw/sim.hpp"
+#include "ir/cdfg.hpp"
+#include "ir/ir.hpp"
+#include "nxmap/techmap.hpp"
 #include "svc/job.hpp"
 
 namespace hermes {
 namespace {
 
-/// Asserts to_string over [0, count) yields no fallback and no duplicates.
+/// Asserts to_string over [0, enum_count<Enum>) yields no fallback and no
+/// duplicates.
 template <typename Enum>
-void expect_exhaustive_names(std::size_t count, const char* fallback,
-                             const char* enum_name) {
+void expect_exhaustive_names(const char* enum_name) {
   std::set<std::string> seen;
-  for (std::size_t value = 0; value < count; ++value) {
+  for (std::size_t value = 0; value < enum_count<Enum>; ++value) {
     const std::string name = to_string(static_cast<Enum>(value));
-    EXPECT_NE(name, fallback)
-        << enum_name << " value " << value << " has no name";
+    EXPECT_NE(name, "?") << enum_name << " value " << value << " has no name";
     EXPECT_TRUE(seen.insert(name).second)
         << enum_name << " value " << value << " duplicates name " << name;
   }
 }
 
 TEST(EnumStrings, ErrorCodeNamesAreExhaustive) {
-  expect_exhaustive_names<ErrorCode>(
-      static_cast<std::size_t>(ErrorCode::kCount), "unknown", "ErrorCode");
+  expect_exhaustive_names<ErrorCode>("ErrorCode");
 }
 
 TEST(EnumStrings, FdirLayerNamesAreExhaustive) {
-  expect_exhaustive_names<fdir::Layer>(
-      static_cast<std::size_t>(fdir::Layer::kCount), "?", "fdir::Layer");
-  // kNumLayers (the per-layer report array bound) must track the enum.
-  EXPECT_EQ(fdir::kNumLayers, static_cast<std::size_t>(fdir::Layer::kCount));
+  expect_exhaustive_names<fdir::Layer>("fdir::Layer");
 }
 
 TEST(EnumStrings, FdirSeverityNamesAreExhaustive) {
-  expect_exhaustive_names<fdir::Severity>(
-      static_cast<std::size_t>(fdir::Severity::kCount), "?", "fdir::Severity");
+  expect_exhaustive_names<fdir::Severity>("fdir::Severity");
 }
 
 TEST(EnumStrings, IsolationActionNamesAreExhaustive) {
-  expect_exhaustive_names<fdir::IsolationAction>(
-      static_cast<std::size_t>(fdir::IsolationAction::kCount), "?",
-      "fdir::IsolationAction");
+  expect_exhaustive_names<fdir::IsolationAction>("fdir::IsolationAction");
 }
 
 TEST(EnumStrings, FdirModeNamesAreExhaustive) {
-  expect_exhaustive_names<fdir::FdirMode>(
-      static_cast<std::size_t>(fdir::FdirMode::kCount), "?", "fdir::FdirMode");
+  expect_exhaustive_names<fdir::FdirMode>("fdir::FdirMode");
 }
 
 TEST(EnumStrings, SvcStageNamesAreExhaustive) {
-  expect_exhaustive_names<svc::Stage>(
-      static_cast<std::size_t>(svc::Stage::kCount), "unknown", "svc::Stage");
+  expect_exhaustive_names<svc::Stage>("svc::Stage");
+}
+
+/// Every value maps back through from_name; the value one past the list
+/// prints "?"; a name outside the list maps to nothing.
+template <typename Enum>
+void expect_round_trip() {
+  for (std::size_t value = 0; value < enum_count<Enum>; ++value) {
+    const auto e = static_cast<Enum>(value);
+    EXPECT_EQ(from_name<Enum>(to_string(e)), e) << to_string(e);
+  }
+  EXPECT_STREQ(to_string(static_cast<Enum>(enum_count<Enum>)), "?");
+  EXPECT_FALSE(from_name<Enum>("no such name").has_value());
+}
+
+template <typename... Enums>
+void expect_round_trips() {
+  (expect_round_trip<Enums>(), ...);
+}
+
+TEST(EnumStrings, EveryListedEnumRoundTripsThroughItsNames) {
+  expect_round_trips<axi::AxiMode, axi::Burst, axi::Resp, boot::BootSource,
+                     boot::BootStage, ErrorCode, fault::Protection,
+                     fdir::Layer, fdir::Severity, fdir::IsolationAction,
+                     fdir::FdirMode, fe::TokKind, fe::UnaryOp, fe::BinaryOp,
+                     hv::PartitionState, hv::HmEvent, hv::HmAction,
+                     hw::CellKind, hw::SimBackend, ir::DepKind, ir::Op,
+                     nx::PrimKind, svc::Stage>();
 }
 
 }  // namespace

@@ -80,6 +80,12 @@ struct OpCase {
   std::uint64_t a, b, expect;
 };
 
+// Names each case by its fields: gtest's default byte dump would include the
+// struct's uninitialized padding, which changes the test name run to run.
+void PrintTo(const OpCase& c, std::ostream* os) {
+  *os << to_string(c.kind) << " w" << c.width << " " << c.a << " " << c.b;
+}
+
 class SimBinop : public ::testing::TestWithParam<OpCase> {};
 
 TEST_P(SimBinop, Evaluates) {

@@ -74,5 +74,31 @@ TEST(Eucalyptus, FromXmlRejectsForeignDocuments) {
       << "cell without timing/area must be rejected";
 }
 
+// Any IR op name reads back except a terminator, which is control flow and
+// never a characterized cell.
+TEST(Eucalyptus, FromXmlReadsEveryNonTerminatorOp) {
+  const hls::TechLibrary lib(hls::ng_ultra());
+  hls::SweepConfig config;
+  config.widths = {8};
+  config.pipeline_stages = {0};
+  config.clock_periods_ns = {10.0};
+  const auto points = hls::run_sweep(lib, config);
+  ASSERT_FALSE(points.empty());
+  const std::string document = hls::to_xml(lib.target(), {points.front()});
+  const std::string attr =
+      std::string("operation=\"") + ir::to_string(points.front().op) + "\"";
+  const std::size_t at = document.find(attr);
+  ASSERT_NE(at, std::string::npos);
+  for (std::size_t v = 0; v < enum_count<ir::Op>; ++v) {
+    const auto op = static_cast<ir::Op>(v);
+    std::string renamed = document;
+    renamed.replace(at, attr.size(),
+                    std::string("operation=\"") + ir::to_string(op) + "\"");
+    const auto loaded = hls::from_xml(renamed);
+    EXPECT_EQ(loaded.ok(), !ir::is_terminator(op)) << ir::to_string(op);
+    if (loaded.ok()) EXPECT_EQ(loaded.value().front().op, op);
+  }
+}
+
 }  // namespace
 }  // namespace hermes
