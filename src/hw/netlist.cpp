@@ -287,35 +287,66 @@ namespace hermes::hw {
 std::size_t sweep_dead_cells(Module& module) {
   // The Module API is append-only, so the sweep rebuilds the cell list.
   // Wires are left in place (unused wires cost nothing downstream).
-  std::size_t removed_total = 0;
-  while (true) {
-    std::vector<bool> used(module.wire_count(), false);
-    for (const Port& port : module.ports()) {
-      if (!port.is_input) used[port.wire] = true;
-    }
-    for (const Cell& cell : module.cells()) {
-      for (WireId wire : cell.inputs) used[wire] = true;
-    }
-    std::vector<Cell> kept;
-    kept.reserve(module.cells().size());
-    std::size_t removed = 0;
-    for (const Cell& cell : module.cells()) {
-      const bool effectful = cell.kind == CellKind::kRamWrite;
-      bool drives_something = effectful;
-      for (WireId wire : cell.outputs) {
-        if (used[wire]) drives_something = true;
-      }
-      if (drives_something) {
-        kept.push_back(cell);
-      } else {
-        ++removed;
-      }
-    }
-    if (removed == 0) break;
-    removed_total += removed;
-    module.replace_cells(std::move(kept));
+  const std::vector<Cell>& cells = module.cells();
+  // Uses of each wire: one per output port and per reading input slot.
+  std::vector<std::uint32_t> uses(module.wire_count(), 0);
+  for (const Port& port : module.ports()) {
+    if (!port.is_input) ++uses[port.wire];
   }
-  return removed_total;
+  // Driving cells of each wire, in CSR form.
+  std::vector<std::uint32_t> driver_start(module.wire_count() + 1, 0);
+  for (const Cell& cell : cells) {
+    for (WireId wire : cell.inputs) ++uses[wire];
+    for (WireId wire : cell.outputs) ++driver_start[wire + 1];
+  }
+  for (std::size_t w = 0; w < module.wire_count(); ++w) {
+    driver_start[w + 1] += driver_start[w];
+  }
+  std::vector<std::size_t> drivers(driver_start.back());
+  {
+    std::vector<std::uint32_t> fill(driver_start.begin(), driver_start.end() - 1);
+    for (std::size_t c = 0; c < cells.size(); ++c) {
+      for (WireId wire : cells[c].outputs) drivers[fill[wire]++] = c;
+    }
+  }
+
+  // A cell dies once nothing reads any of its outputs; killing it releases
+  // its input uses, which may kill their drivers in turn. A dead cycle keeps
+  // every member used, so it stays, as it would under iteration to a fixed
+  // point. RAM writes are effectful and never die.
+  std::vector<bool> dead(cells.size(), false);
+  std::vector<std::size_t> worklist;
+  std::size_t removed = 0;
+  auto try_kill = [&](std::size_t c) {
+    const Cell& cell = cells[c];
+    if (dead[c] || cell.kind == CellKind::kRamWrite) return;
+    for (WireId wire : cell.outputs) {
+      if (uses[wire] != 0) return;
+    }
+    dead[c] = true;
+    ++removed;
+    worklist.push_back(c);
+  };
+  for (std::size_t c = 0; c < cells.size(); ++c) try_kill(c);
+  while (!worklist.empty()) {
+    const std::size_t c = worklist.back();
+    worklist.pop_back();
+    for (WireId wire : cells[c].inputs) {
+      if (--uses[wire] != 0) continue;
+      for (std::uint32_t d = driver_start[wire]; d < driver_start[wire + 1]; ++d) {
+        try_kill(drivers[d]);
+      }
+    }
+  }
+  if (removed == 0) return 0;
+
+  std::vector<Cell> kept;
+  kept.reserve(cells.size() - removed);
+  for (std::size_t c = 0; c < cells.size(); ++c) {
+    if (!dead[c]) kept.push_back(cells[c]);
+  }
+  module.replace_cells(std::move(kept));
+  return removed;
 }
 
 }  // namespace hermes::hw

@@ -63,10 +63,12 @@ bool is_sequential(CellKind kind);
 class Module;
 
 /// Removes cells whose outputs drive nothing (no cell input, no output
-/// port), iterating to a fixed point — the dead-logic sweep every synthesis
-/// front-end performs before technology mapping. RAM writes are effectful
-/// and always kept; registers and combinational cells are swept. Returns the
-/// number of cells removed.
+/// port), dead chains included — the dead-logic sweep every synthesis
+/// front-end performs before technology mapping. One use-count worklist pass
+/// gives the fixed point of repeated single sweeps: same cells removed, kept
+/// cells in their original order. RAM writes are effectful and always kept;
+/// registers and combinational cells are swept, except on a cycle that
+/// keeps itself used. Returns the number of cells removed.
 std::size_t sweep_dead_cells(Module& module);
 
 struct Cell {

@@ -2,7 +2,19 @@
 //
 // Simulated-annealing placement of mapped instances onto the logic tile
 // grid, minimizing half-perimeter wirelength with a quadratic penalty on
-// tile capacity overflow. Deterministic for a fixed seed.
+// tile capacity overflow. Random start, then fixed rounds of single-instance
+// moves to a uniformly drawn tile under a geometric cooling schedule.
+// Deterministic for a fixed seed.
+//
+// Cost evaluation is incremental. Each net caches its HPWL; a move rescans
+// only the distinct nets on the moved instance, once each at the new
+// position, weights each by the instance's pin count on it, and commits the
+// rescanned costs only when the move is accepted. Every cost term (HPWL, and
+// the squared overflow of integer areas over an integer tile capacity) is an
+// integer, so the delta equals the one a full before/after recomputation
+// gives, bit for bit: the accept decisions, the RNG draw sequence and hence
+// every placement are the same as that reference loop's
+// (Place.MatchesFullRecomputeOracle in tests/test_nxmap.cpp keeps it).
 #pragma once
 
 #include <vector>

@@ -2,6 +2,9 @@
 // VCD tracer.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "apps/kernels.hpp"
 #include "common/bits.hpp"
 #include "common/rng.hpp"
 #include "hls/flow.hpp"
@@ -9,6 +12,7 @@
 #include "hw/sim.hpp"
 #include "hw/vcd.hpp"
 #include "hw/verilog.hpp"
+#include "netlist_fuzz.hpp"
 
 namespace hermes::hw {
 namespace {
@@ -446,6 +450,110 @@ TEST(SweepDeadCells, NoOpOnFullyLiveNetlist) {
   const WireId q = m.make_register(a, one, 0, "q");
   m.add_output(q, "q");
   EXPECT_EQ(sweep_dead_cells(m), 0u);
+}
+
+// The sweep as it was before the worklist pass: whole-netlist passes, each
+// removing every cell nothing reads, until a pass removes none.
+std::size_t reference_sweep(Module& module) {
+  std::size_t removed_total = 0;
+  while (true) {
+    std::vector<bool> used(module.wire_count(), false);
+    for (const Port& port : module.ports()) {
+      if (!port.is_input) used[port.wire] = true;
+    }
+    for (const Cell& cell : module.cells()) {
+      for (WireId wire : cell.inputs) used[wire] = true;
+    }
+    std::vector<Cell> kept;
+    std::size_t removed = 0;
+    for (const Cell& cell : module.cells()) {
+      bool drives_something = cell.kind == CellKind::kRamWrite;
+      for (WireId wire : cell.outputs) {
+        if (used[wire]) drives_something = true;
+      }
+      if (drives_something) {
+        kept.push_back(cell);
+      } else {
+        ++removed;
+      }
+    }
+    if (removed == 0) break;
+    removed_total += removed;
+    module.replace_cells(std::move(kept));
+  }
+  return removed_total;
+}
+
+/// Appends logic only the fixed point handles right: dead chains (one reads
+/// a wire twice), a dead two-cell cycle with a dead tail, and a dead
+/// self-looped register. The cycles must survive; the chains and tail die.
+void add_dead_structures(Rng& rng, Module& m) {
+  const WireId seed_wire = m.port_wire("in0");
+  for (int chain = 0; chain < 3; ++chain) {
+    WireId w = rng.next_bool(0.5) ? seed_wire : m.make_const(rng.next_u64(), 8);
+    const int depth = 1 + static_cast<int>(rng.next_below(6));
+    for (int d = 0; d < depth; ++d) {
+      w = rng.next_bool(0.5) ? m.make_not(w)
+                             : m.make_binop(CellKind::kAdd, w, w, 8);
+    }
+  }
+  const WireId c = m.make_const(3, 8);
+  const WireId x = m.add_wire(8, "cyc_x");
+  const WireId y = m.make_binop(CellKind::kXor, x, c, 8, "cyc_y");
+  Cell back;
+  back.kind = CellKind::kAdd;
+  back.inputs = {y, c};
+  back.outputs = {x};
+  m.add_cell(std::move(back));
+  m.make_not(m.make_not(y));  // dead tail off the cycle
+  const WireId q = m.add_wire(4, "self_q");
+  Cell reg;
+  reg.kind = CellKind::kRegister;
+  reg.inputs = {q, m.port_wire("en0")};
+  reg.outputs = {q};
+  m.add_cell(std::move(reg));
+}
+
+/// Sweeps a copy of `module` both ways, expects the same removed count and
+/// the same kept cells in the same order, and returns the swept copy.
+Module expect_sweep_matches_reference(const Module& module,
+                                      const std::string& label) {
+  Module got = module;
+  Module want = module;
+  EXPECT_EQ(sweep_dead_cells(got), reference_sweep(want)) << label;
+  EXPECT_EQ(got.digest(), want.digest()) << label;
+  EXPECT_EQ(got.cells().size(), want.cells().size()) << label;
+  for (std::size_t c = 0; c < std::min(got.cells().size(), want.cells().size()); ++c) {
+    EXPECT_EQ(got.cells()[c].name, want.cells()[c].name) << label << " cell " << c;
+  }
+  return got;
+}
+
+TEST(SweepDeadCells, MatchesFixpointReference) {
+  Rng rng(0x5eeb);
+  for (int index = 0; index < 40; ++index) {
+    fuzz::RandomDesign design = fuzz::make_random_design(rng, index, "sweep");
+    expect_sweep_matches_reference(design.module, "fuzz" + std::to_string(index));
+    add_dead_structures(rng, design.module);
+    const Module swept = expect_sweep_matches_reference(
+        design.module, "dead" + std::to_string(index));
+    EXPECT_LT(swept.cells().size(), design.module.cells().size());
+    bool cycle_kept = false, self_loop_kept = false;
+    for (const Cell& cell : swept.cells()) {
+      for (WireId wire : cell.outputs) {
+        if (swept.wire_name(wire) == "cyc_x") cycle_kept = true;
+        if (swept.wire_name(wire) == "self_q") self_loop_kept = true;
+      }
+    }
+    EXPECT_TRUE(cycle_kept && self_loop_kept) << "dead cycles stay";
+  }
+  for (const apps::KernelSpec& kernel : apps::all_kernels()) {
+    hls::FlowOptions options;
+    options.top = kernel.name;
+    auto flow = hls::run_flow(kernel.source, options);
+    ASSERT_TRUE(flow.ok()) << kernel.name;
+    expect_sweep_matches_reference(flow.value().fsmd.module, kernel.name);
+  }
 }
 
 TEST(SweepDeadCells, HlsOutputShrinksButStaysCorrect) {

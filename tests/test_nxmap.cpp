@@ -3,7 +3,13 @@
 // 4x-power claim measured end-to-end.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <map>
+
+#include "apps/kernels.hpp"
 #include "hls/flow.hpp"
+#include "netlist_fuzz.hpp"
 #include "nxmap/flow.hpp"
 #include "common/rng.hpp"
 
@@ -94,6 +100,225 @@ TEST(Place, AnnealingImprovesOnRandom) {
   const Placement random = place(m, mapped.value(), device, no_anneal);
   const Placement annealed = place(m, mapped.value(), device);
   EXPECT_LE(annealed.hpwl, random.hpwl);
+}
+
+// The annealing loop as it was before incremental costs: every move
+// recomputes the HPWL of each net on the moved instance (once per pin it
+// has there) before and after the move. nx::place must reproduce it exactly.
+Placement reference_place(const hw::Module& module, const MappedDesign& design,
+                          const NxDevice& device, const PlaceOptions& options) {
+  Placement placement;
+  const std::size_t n = design.instances.size();
+  placement.location.resize(n);
+
+  std::size_t area_luts = 0;
+  for (const MappedInstance& inst : design.instances) {
+    area_luts += std::max<unsigned>(inst.luts + inst.ffs / 4, 1);
+  }
+  const unsigned needed_tiles = static_cast<unsigned>(
+      (area_luts + device.luts_per_tile - 1) / device.luts_per_tile);
+  unsigned side = static_cast<unsigned>(
+      std::ceil(std::sqrt(static_cast<double>(needed_tiles) * 3.5)));
+  side = std::max(side, 2u);
+  side = std::min(side, std::min(device.rows, device.cols));
+  placement.grid_side = side;
+
+  Rng rng(options.seed);
+  for (std::size_t i = 0; i < n; ++i) {
+    placement.location[i] = {static_cast<unsigned>(rng.next_below(side)),
+                             static_cast<unsigned>(rng.next_below(side))};
+  }
+
+  // One net per driven wire: driver first, then one pin per consuming input.
+  std::vector<std::vector<std::size_t>> nets;
+  std::map<hw::WireId, std::size_t> net_of_wire;
+  for (std::size_t c = 0; c < module.cells().size(); ++c) {
+    for (hw::WireId wire : module.cells()[c].inputs) {
+      const std::size_t driver = design.driver_of_wire[wire];
+      if (driver == SIZE_MAX) continue;
+      auto it = net_of_wire.find(wire);
+      if (it == net_of_wire.end()) {
+        nets.push_back({driver});
+        it = net_of_wire.emplace(wire, nets.size() - 1).first;
+      }
+      nets[it->second].push_back(c);
+    }
+  }
+  std::vector<std::vector<std::size_t>> nets_of_instance(n);
+  for (std::size_t ni = 0; ni < nets.size(); ++ni) {
+    for (std::size_t pin : nets[ni]) nets_of_instance[pin].push_back(ni);
+  }
+  auto net_hpwl = [&](const std::vector<std::size_t>& net) {
+    unsigned min_x = ~0u, max_x = 0, min_y = ~0u, max_y = 0;
+    for (std::size_t pin : net) {
+      const auto [x, y] = placement.location[pin];
+      min_x = std::min(min_x, x);
+      max_x = std::max(max_x, x);
+      min_y = std::min(min_y, y);
+      max_y = std::max(max_y, y);
+    }
+    return static_cast<double>(max_x - min_x) + static_cast<double>(max_y - min_y);
+  };
+
+  std::vector<double> tile_usage(static_cast<std::size_t>(side) * side, 0.0);
+  auto tile_index = [&](unsigned x, unsigned y) {
+    return static_cast<std::size_t>(y) * side + x;
+  };
+  auto inst_area = [&](std::size_t i) {
+    const MappedInstance& inst = design.instances[i];
+    return static_cast<double>(std::max<unsigned>(inst.luts + inst.ffs / 4, 1));
+  };
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto [x, y] = placement.location[i];
+    tile_usage[tile_index(x, y)] += inst_area(i);
+  }
+  const double capacity = device.luts_per_tile;
+  auto overflow_at = [&](std::size_t tile) {
+    const double over = tile_usage[tile] - capacity;
+    return over > 0 ? over * over : 0.0;
+  };
+  auto cost_of_nets = [&](const std::vector<std::size_t>& net_ids) {
+    double cost = 0;
+    for (std::size_t ni : net_ids) cost += net_hpwl(nets[ni]);
+    return cost;
+  };
+
+  double temperature = options.initial_temp;
+  const std::size_t moves_per_round = std::max<std::size_t>(n, 16);
+  for (unsigned round = 0; round < options.iterations_per_instance; ++round) {
+    for (std::size_t move = 0; move < moves_per_round; ++move) {
+      const std::size_t i = rng.next_below(n);
+      const auto old_loc = placement.location[i];
+      const unsigned nx = static_cast<unsigned>(rng.next_below(side));
+      const unsigned ny = static_cast<unsigned>(rng.next_below(side));
+      if (nx == old_loc.first && ny == old_loc.second) continue;
+
+      const std::size_t old_tile = tile_index(old_loc.first, old_loc.second);
+      const std::size_t new_tile = tile_index(nx, ny);
+      const double area = inst_area(i);
+      const double before = cost_of_nets(nets_of_instance[i]) +
+                            overflow_at(old_tile) + overflow_at(new_tile);
+      placement.location[i] = {nx, ny};
+      tile_usage[old_tile] -= area;
+      tile_usage[new_tile] += area;
+      const double after = cost_of_nets(nets_of_instance[i]) +
+                           overflow_at(old_tile) + overflow_at(new_tile);
+      const double delta = after - before;
+      const bool accept =
+          delta <= 0 || rng.next_double() < std::exp(-delta / temperature);
+      if (!accept) {
+        placement.location[i] = old_loc;
+        tile_usage[old_tile] += area;
+        tile_usage[new_tile] -= area;
+      }
+    }
+    temperature *= options.cooling;
+  }
+
+  placement.hpwl = 0;
+  for (const auto& net : nets) placement.hpwl += net_hpwl(net);
+  placement.overflow = 0;
+  for (double usage : tile_usage) {
+    if (usage > capacity) placement.overflow += usage - capacity;
+  }
+  return placement;
+}
+
+/// Every option combination the oracle comparison sweeps.
+std::vector<PlaceOptions> oracle_option_grid() {
+  std::vector<PlaceOptions> grid;
+  for (std::uint64_t seed : {7ULL, 11ULL, 12345ULL}) {
+    for (unsigned iterations : {0u, 8u, 64u}) {
+      for (double cooling : {0.92, 0.5}) {
+        for (double initial_temp : {10.0, 0.5}) {
+          PlaceOptions options;
+          options.seed = seed;
+          options.iterations_per_instance = iterations;
+          options.cooling = cooling;
+          options.initial_temp = initial_temp;
+          grid.push_back(options);
+        }
+      }
+    }
+  }
+  return grid;
+}
+
+void expect_matches_reference(const hw::Module& module, const NxDevice& device,
+                              const PlaceOptions& options,
+                              const std::string& label) {
+  auto mapped = techmap(module, device);
+  ASSERT_TRUE(mapped.ok()) << label << ": " << mapped.status().to_string();
+  const Placement got = place(module, mapped.value(), device, options);
+  const Placement want = reference_place(module, mapped.value(), device, options);
+  const std::string where =
+      label + " seed=" + std::to_string(options.seed) +
+      " iters=" + std::to_string(options.iterations_per_instance) +
+      " cooling=" + std::to_string(options.cooling) +
+      " t0=" + std::to_string(options.initial_temp);
+  EXPECT_EQ(got.location, want.location) << where;
+  EXPECT_EQ(got.hpwl, want.hpwl) << where;
+  EXPECT_EQ(got.overflow, want.overflow) << where;
+  EXPECT_EQ(got.grid_side, want.grid_side) << where;
+}
+
+/// A fuzz netlist plus the pin patterns the incremental cost must weight:
+/// one cell reading a wire on both inputs, a register feeding itself, and a
+/// net with fanout above 64.
+hw::Module oracle_fuzz_design(Rng& rng, int index) {
+  hw::fuzz::RandomDesign design =
+      hw::fuzz::make_random_design(rng, index, "place_oracle");
+  hw::Module& m = design.module;
+  const hw::WireId a = m.port_wire("in0");
+  const hw::WireId b = m.port_wire("in1");
+  const hw::WireId hub = m.make_binop(hw::CellKind::kXor, a, b, 16, "hub");
+  const hw::WireId twice = m.make_binop(hw::CellKind::kAdd, hub, hub, 16, "twice");
+  m.add_output(twice, "twice");
+  const hw::WireId q = m.add_wire(16, "self_q");
+  hw::Cell self_loop;
+  self_loop.kind = hw::CellKind::kRegister;
+  self_loop.inputs = {q, m.port_wire("en0")};
+  self_loop.outputs = {q};
+  m.add_cell(std::move(self_loop));
+  m.add_output(q, "self_q");
+  for (int i = 0; i < 70; ++i) {
+    m.add_output(m.make_binop(hw::CellKind::kAnd, hub, q, 16),
+                 "fan" + std::to_string(i));
+  }
+  return std::move(design.module);
+}
+
+TEST(Place, MatchesFullRecomputeOracle) {
+  const NxDevice device = make_device(hls::ng_ultra());
+  const std::vector<PlaceOptions> grid = oracle_option_grid();
+  for (const apps::KernelSpec& kernel : apps::all_kernels()) {
+    hls::FlowOptions flow_options;
+    flow_options.top = kernel.name;
+    auto flow = hls::run_flow(kernel.source, flow_options);
+    ASSERT_TRUE(flow.ok()) << kernel.name;
+    hw::Module module = flow.value().fsmd.module;
+    hw::sweep_dead_cells(module);  // as run_backend_map places it
+    for (const PlaceOptions& options : grid) {
+      expect_matches_reference(module, device, options, kernel.name);
+    }
+  }
+  Rng rng(0x9ace);
+  for (int index = 0; index < 8; ++index) {
+    const hw::Module module = oracle_fuzz_design(rng, index);
+    for (const PlaceOptions& options : grid) {
+      expect_matches_reference(module, device, options,
+                               "fuzz" + std::to_string(index));
+    }
+  }
+}
+
+TEST(Place, EmptyDesignPlacesWithoutMoves) {
+  // No instance to move: annealing must not draw a move index from [0, 0).
+  const NxDevice device = make_device(hls::ng_ultra());
+  auto backend = run_backend(hw::Module("empty"), device);
+  ASSERT_TRUE(backend.ok()) << backend.status().to_string();
+  EXPECT_TRUE(backend.value().placement.location.empty());
+  EXPECT_EQ(backend.value().placement.hpwl, 0.0);
 }
 
 TEST(Route, DelaysAndWirelengthPopulated) {

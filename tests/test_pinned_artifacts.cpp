@@ -11,7 +11,9 @@
 #include <vector>
 
 #include "apps/kernels.hpp"
+#include "common/fnv.hpp"
 #include "hls/flow.hpp"
+#include "nxmap/flow.hpp"
 #include "svc/service.hpp"
 
 namespace hermes {
@@ -34,6 +36,34 @@ TEST(PinnedArtifacts, CatalogNetlistDigests) {
     auto flow = hls::run_flow(kernels[k].source, options);
     ASSERT_TRUE(flow.ok()) << kernels[k].name;
     EXPECT_EQ(flow.value().fsmd.module.digest(), expected[k].second)
+        << kernels[k].name;
+  }
+}
+
+// Pins the backend's output (dead-cell sweep, placement, packing) the netlist
+// digests above cannot see: a placer or sweep rewrite must leave every
+// catalog bitstream byte-identical.
+TEST(PinnedArtifacts, CatalogBitstreamDigests) {
+  const std::vector<std::pair<std::string, std::uint64_t>> expected = {
+      {"sobel", 0xa4cf03612236b4daULL},
+      {"fir", 0x094608eb557d9fc2ULL},
+      {"dense_relu", 0xef52cddb2cbccdb8ULL},
+      {"matmul", 0x642859deb5ae6d03ULL},
+      {"histogram", 0x1e45a5b2b76a1444ULL},
+  };
+  const nx::NxDevice device = nx::make_device(hls::ng_ultra());
+  const std::vector<apps::KernelSpec> kernels = apps::all_kernels();
+  ASSERT_EQ(kernels.size(), expected.size());
+  for (std::size_t k = 0; k < kernels.size(); ++k) {
+    ASSERT_EQ(kernels[k].name, expected[k].first);
+    hls::FlowOptions options;
+    options.top = kernels[k].name;
+    auto flow = hls::run_flow(kernels[k].source, options);
+    ASSERT_TRUE(flow.ok()) << kernels[k].name;
+    auto backend = nx::run_backend(flow.value().fsmd.module, device);
+    ASSERT_TRUE(backend.ok()) << kernels[k].name;
+    EXPECT_EQ(fnv::mix_bytes(fnv::kOffsetBasis, backend.value().bitstream),
+              expected[k].second)
         << kernels[k].name;
   }
 }
