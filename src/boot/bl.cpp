@@ -1,22 +1,35 @@
 #include "boot/bl.hpp"
 
-#include <cstring>
+#include <array>
 #include <sstream>
 
+#include "common/bytes.hpp"
 #include "common/crc.hpp"
 #include "common/strings.hpp"
 
 namespace hermes::boot {
 namespace {
 
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+/// Boot report layout: magic, step count, the u64 counters below; per step
+/// a zero-padded name, an ok byte and a u64 cycle count; a CRC-32 trailer.
+constexpr std::uint64_t BootReport::*kCounters[] = {
+    &BootReport::total_cycles,   &BootReport::flash_corrected_bytes,
+    &BootReport::spw_crc_errors, &BootReport::integrity_retries,
+    &BootReport::spw_fallbacks,  &BootReport::efpga_frame_rewrites,
+    &BootReport::efpga_scrub_corrections};
+constexpr std::size_t kStepNameBytes = 24;
+constexpr std::size_t kCrcBytes = 4;
+
+std::size_t report_bytes(std::uint32_t steps) {
+  return 4 + 4 + std::size(kCounters) * 8 +
+         static_cast<std::size_t>(steps) * (kStepNameBytes + 1 + 8) +
+         kCrcBytes;
 }
-std::uint32_t get_u32(std::span<const std::uint8_t> d, std::size_t o) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(d[o + i]) << (8 * i);
-  return v;
-}
+
+constexpr std::size_t kBl1HeaderBytes = 4 + 4 + 4;  ///< see Bl1Header
+
+/// BL1 reads the load list from a fixed-size flash slot.
+constexpr std::size_t kLoadListSlotBytes = 8 * 1024;
 
 /// Step cycle budgets (reference values for the NG-ULTRA bring-up).
 constexpr std::uint64_t kCyclesInitCpu0 = 500;
@@ -32,70 +45,58 @@ constexpr std::uint64_t kCyclesPerShaByte = 1;  ///< software SHA-256 ~1 B/cycle
 
 std::vector<std::uint8_t> BootReport::serialize() const {
   std::vector<std::uint8_t> out;
-  auto put_u64 = [&out](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  };
-  put_u32(out, kBootReportMagic);
-  put_u32(out, static_cast<std::uint32_t>(steps.size()));
-  put_u64(total_cycles);
-  put_u64(flash_corrected_bytes);
-  put_u64(spw_crc_errors);
-  put_u64(integrity_retries);
-  put_u64(spw_fallbacks);
-  put_u64(efpga_frame_rewrites);
-  put_u64(efpga_scrub_corrections);
+  bytes::Writer w(out);
+  w.u32(kBootReportMagic);
+  w.u32(static_cast<std::uint32_t>(steps.size()));
+  for (auto counter : kCounters) w.u64(this->*counter);
   for (const StepRecord& step : steps) {
-    char name[24] = {0};
-    for (std::size_t i = 0; i < step.name.size() && i < 23; ++i) {
-      name[i] = step.name[i];
-    }
-    out.insert(out.end(), name, name + 24);
-    out.push_back(step.ok ? 1 : 0);
-    put_u64(step.cycles);
+    w.padded(step.name, kStepNameBytes);
+    w.u8(step.ok ? 1 : 0);
+    w.u64(step.cycles);
   }
-  put_u32(out, crc32(out.data(), out.size()));
+  w.u32(crc32(out.data(), out.size()));
   return out;
 }
 
 Result<BootReport> parse_boot_report(std::span<const std::uint8_t> data) {
-  auto get_u64 = [&data](std::size_t o) {
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(data[o + i]) << (8 * i);
-    return v;
-  };
-  if (data.size() < 68) {
-    return Status::Error(ErrorCode::kIntegrityError, "boot report truncated");
+  bytes::Reader r(data);
+  const std::uint32_t magic = r.u32();
+  const std::uint32_t count = r.u32();
+  if (r.failed() || magic != kBootReportMagic) {
+    return Status::Error(ErrorCode::kIntegrityError, "bad boot-report header");
   }
-  if (get_u32(data, 0) != kBootReportMagic) {
-    return Status::Error(ErrorCode::kIntegrityError, "bad boot-report magic");
+  if (data.size() != report_bytes(count)) {
+    return Status::Error(ErrorCode::kIntegrityError,
+                         format("boot report size inconsistent (%u steps)",
+                                count));
   }
-  const std::uint32_t count = get_u32(data, 4);
-  const std::size_t expected = 64 + static_cast<std::size_t>(count) * 33 + 4;
-  if (data.size() < expected) {
-    return Status::Error(ErrorCode::kIntegrityError, "boot report truncated");
-  }
-  if (crc32(data.data(), expected - 4) != get_u32(data, expected - 4)) {
+  const std::span<const std::uint8_t> body = data.first(data.size() - kCrcBytes);
+  if (crc32(body) != bytes::Reader(data.subspan(body.size())).u32()) {
     return Status::Error(ErrorCode::kIntegrityError, "boot-report CRC mismatch");
   }
   BootReport report;
-  report.total_cycles = get_u64(8);
-  report.flash_corrected_bytes = get_u64(16);
-  report.spw_crc_errors = get_u64(24);
-  report.integrity_retries = get_u64(32);
-  report.spw_fallbacks = get_u64(40);
-  report.efpga_frame_rewrites = get_u64(48);
-  report.efpga_scrub_corrections = get_u64(56);
-  std::size_t offset = 64;
+  for (auto counter : kCounters) report.*counter = r.u64();
   for (std::uint32_t i = 0; i < count; ++i) {
-    StepRecord step;
-    const char* name = reinterpret_cast<const char*>(data.data() + offset);
-    step.name.assign(name, strnlen(name, 23));
-    step.ok = data[offset + 24] != 0;
-    step.cycles = get_u64(offset + 25);
-    report.steps.push_back(std::move(step));
-    offset += 33;
+    // As in the load list: bytes after a name's terminator, or an ok byte
+    // other than 0/1, would be lost on decode and the image not round-trip.
+    std::optional<std::string> name = r.padded(kStepNameBytes);
+    const std::uint8_t ok = r.u8();
+    if (!name || ok > 1) {
+      return Status::Error(ErrorCode::kIntegrityError,
+                           format("step %u: name or ok byte not canonical", i));
+    }
+    report.steps.push_back({std::move(*name), ok == 1, r.u64(), {}});
   }
   return report;
+}
+
+Result<BootReport> parse_boot_report_slot(std::span<const std::uint8_t> slot) {
+  bytes::Reader r(slot);
+  const bool framed = r.u32() == kBootReportMagic;
+  const std::size_t extent = report_bytes(r.u32());
+  return parse_boot_report(framed && !r.failed() && extent <= slot.size()
+                               ? slot.first(extent)
+                               : slot);
 }
 
 std::string BootReport::render() const {
@@ -125,18 +126,17 @@ std::string BootReport::render() const {
 void stage_boot_media(BootEnvironment& env,
                       std::span<const std::uint8_t> bl1_image, LoadList& list,
                       const std::vector<std::vector<std::uint8_t>>& images) {
-  // BL1 header: magic, size, crc over the image.
-  std::vector<std::uint8_t> header;
-  put_u32(header, kBl1Magic);
-  put_u32(header, static_cast<std::uint32_t>(bl1_image.size()));
-  put_u32(header, crc32(bl1_image));
-  env.flash.program(FlashLayout::kBl1Header, header);
+  std::vector<std::uint8_t> framed;
+  bytes::Writer w(framed);
+  w.u32(kBl1Magic);
+  w.u32(static_cast<std::uint32_t>(bl1_image.size()));
+  w.u32(crc32(bl1_image));
+  env.flash.program(FlashLayout::kBl1Header, framed);
   env.flash.program(FlashLayout::kBl1Image, bl1_image);
 
   // SpaceWire hosts the BL1 image with the same header+image framing.
-  std::vector<std::uint8_t> spw_bl1 = header;
-  spw_bl1.insert(spw_bl1.end(), bl1_image.begin(), bl1_image.end());
-  env.spacewire.host_object("bl1", spw_bl1);
+  w.raw(bl1_image);
+  env.spacewire.host_object("bl1", framed);
 
   // Payload images at increasing offsets.
   std::uint64_t offset = FlashLayout::kImages;
@@ -157,6 +157,50 @@ void stage_boot_media(BootEnvironment& env,
 
 namespace {
 
+/// A TMR-voted flash read: its cycles are charged, its corrections reported.
+void read_flash(BootEnvironment& env, BootReport& report, std::uint64_t addr,
+                std::span<std::uint8_t> out) {
+  const FlashBank::ReadResult r = env.flash.read(addr, out);
+  env.soc.charge(r.cycles);
+  report.flash_corrected_bytes += r.corrected_bytes;
+}
+
+/// A SpaceWire object fetch with its cycles charged.
+Result<std::vector<std::uint8_t>> fetch_spw(BootEnvironment& env,
+                                            std::string_view name) {
+  std::uint64_t cycles = 0;
+  auto fetched = env.spacewire.fetch(name, cycles);
+  env.soc.charge(cycles);
+  return fetched;
+}
+
+/// The BL1 header (magic, image size, image CRC-32) frames the image on
+/// flash and on SpaceWire alike, so BL0 checks both sources with it.
+struct Bl1Header {
+  std::uint32_t magic = 0;
+  std::uint32_t size = 0;
+  std::uint32_t crc = 0;
+};
+
+Result<Bl1Header> read_bl1_header(bytes::Reader& r) {
+  const Bl1Header header{r.u32(), r.u32(), r.u32()};
+  if (r.failed() || header.magic != kBl1Magic || header.size == 0 ||
+      header.size > MemoryMap::kSramSize) {
+    return Status::Error(ErrorCode::kIntegrityError,
+                         "BL1 header bad (magic or implausible size)");
+  }
+  return header;
+}
+
+/// Checks the image against its header's CRC and copies it to SRAM.
+Status load_bl1(Soc& soc, const Bl1Header& header,
+                std::span<const std::uint8_t> image) {
+  if (crc32(image) != header.crc) {
+    return Status::Error(ErrorCode::kIntegrityError, "BL1 image CRC mismatch");
+  }
+  return soc.write_bytes(MemoryMap::kSramBase, image);
+}
+
 /// BL0: hard-coded eROM loader (developed in DAHLIA; modeled here because
 /// the chain cannot run without it). Fetches BL1 from flash or SpaceWire,
 /// checks its CRC, "copies it to SRAM" and branches.
@@ -167,48 +211,28 @@ Status run_bl0(BootEnvironment& env, const BootOptions& options,
   env.soc.charge(kCyclesInitCpu0 / 2);
 
   auto try_flash = [&]() -> Status {
-    std::uint8_t header[12];
-    const FlashBank::ReadResult h =
-        env.flash.read(FlashLayout::kBl1Header, header);
-    env.soc.charge(h.cycles);
-    result.report.flash_corrected_bytes += h.corrected_bytes;
-    if (get_u32(header, 0) != kBl1Magic) {
-      return Status::Error(ErrorCode::kIntegrityError, "BL1 header magic bad");
-    }
-    const std::uint32_t size = get_u32(header, 4);
-    const std::uint32_t crc = get_u32(header, 8);
-    if (size == 0 || size > MemoryMap::kSramSize) {
-      return Status::Error(ErrorCode::kIntegrityError, "BL1 size implausible");
-    }
-    std::vector<std::uint8_t> image(size);
-    const FlashBank::ReadResult r = env.flash.read(FlashLayout::kBl1Image, image);
-    env.soc.charge(r.cycles);
-    result.report.flash_corrected_bytes += r.corrected_bytes;
-    if (crc32(image.data(), image.size()) != crc) {
-      return Status::Error(ErrorCode::kIntegrityError, "BL1 image CRC mismatch");
-    }
-    return env.soc.write_bytes(MemoryMap::kSramBase, image);
+    std::array<std::uint8_t, kBl1HeaderBytes> raw;
+    read_flash(env, result.report, FlashLayout::kBl1Header, raw);
+    bytes::Reader r(raw);
+    const auto header = read_bl1_header(r);
+    if (!header.ok()) return header.status();
+    std::vector<std::uint8_t> image(header.value().size);
+    read_flash(env, result.report, FlashLayout::kBl1Image, image);
+    return load_bl1(env.soc, header.value(), image);
   };
 
   auto try_spacewire = [&]() -> Status {
-    std::uint64_t cycles = 0;
-    auto fetched = env.spacewire.fetch("bl1", cycles);
-    env.soc.charge(cycles);
+    auto fetched = fetch_spw(env, "bl1");
     if (!fetched.ok()) return fetched.status();
-    const auto& data = fetched.value();
-    if (data.size() < 12 || get_u32(data, 0) != kBl1Magic) {
-      return Status::Error(ErrorCode::kIntegrityError, "remote BL1 header bad");
+    bytes::Reader r(fetched.value());
+    const auto header = read_bl1_header(r);
+    if (!header.ok()) return header.status();
+    const std::span<const std::uint8_t> image = r.raw(header.value().size);
+    if (r.failed() || r.remaining() != 0) {
+      return Status::Error(ErrorCode::kIntegrityError,
+                           "remote BL1 size does not match its header");
     }
-    const std::uint32_t size = get_u32(data, 4);
-    const std::uint32_t crc = get_u32(data, 8);
-    if (data.size() < 12 + size) {
-      return Status::Error(ErrorCode::kIntegrityError, "remote BL1 truncated");
-    }
-    std::vector<std::uint8_t> image(data.begin() + 12, data.begin() + 12 + size);
-    if (crc32(image.data(), image.size()) != crc) {
-      return Status::Error(ErrorCode::kIntegrityError, "remote BL1 CRC mismatch");
-    }
-    return env.soc.write_bytes(MemoryMap::kSramBase, image);
+    return load_bl1(env.soc, header.value(), image);
   };
 
   Status status;
@@ -228,9 +252,10 @@ Status run_bl0(BootEnvironment& env, const BootOptions& options,
   return status;
 }
 
-/// BL1 main: hardware bring-up, load-list processing, boot report.
-Status run_bl1(BootEnvironment& env, const BootOptions& options,
-               BootResult& result) {
+/// BL1 main: hardware bring-up, load-list processing, boot report. Returns
+/// the load list it verified and deployed, for the BL2 handoff.
+Result<LoadList> run_bl1(BootEnvironment& env, const BootOptions& options,
+                         BootResult& result) {
   const std::uint64_t start_cycles = env.soc.cycles;
   BootReport& report = result.report;
 
@@ -267,51 +292,29 @@ Status run_bl1(BootEnvironment& env, const BootOptions& options,
        format("%zu regions", env.soc.mpu.size()));
 
   // --- load-list acquisition ---
-  std::vector<std::uint8_t> list_bytes;
-  Status acquire_status;
-  if (options.loadlist_source == BootSource::kFlash) {
-    // The list size is unknown a priori: read a generous window; parse
-    // validates the exact layout. (Real BL1 reads a fixed-size slot.)
-    list_bytes.resize(8 * 1024);
-    const FlashBank::ReadResult r =
-        env.flash.read(FlashLayout::kLoadList, list_bytes);
-    env.soc.charge(r.cycles);
-    report.flash_corrected_bytes += r.corrected_bytes;
-    // Trim to the self-described size: magic+count header.
-    if (list_bytes.size() >= 8 && get_u32(list_bytes, 0) == kLoadListMagic) {
-      const std::uint32_t count = get_u32(list_bytes, 4);
-      const std::size_t expected = 8 + static_cast<std::size_t>(count) * 73 + 4;
-      if (expected <= list_bytes.size()) list_bytes.resize(expected);
+  auto acquire = [&]() -> Result<LoadList> {
+    if (options.loadlist_source == BootSource::kSpaceWire) {
+      auto fetched = fetch_spw(env, "loadlist");
+      if (!fetched.ok()) return fetched.status();
+      return parse_load_list(fetched.value());
     }
-    acquire_status = Status::Ok();
-  } else {
-    std::uint64_t cycles = 0;
-    auto fetched = env.spacewire.fetch("loadlist", cycles);
-    env.soc.charge(cycles);
-    if (fetched.ok()) {
-      list_bytes = fetched.take();
-      acquire_status = Status::Ok();
-    } else {
-      acquire_status = fetched.status();
-    }
-  }
-  auto parsed = acquire_status.ok()
-                    ? parse_load_list(list_bytes)
-                    : Result<LoadList>(acquire_status);
+    std::vector<std::uint8_t> slot(kLoadListSlotBytes);
+    read_flash(env, report, FlashLayout::kLoadList, slot);
+    return parse_load_list_slot(slot);
+  };
+  Result<LoadList> parsed = acquire();
   if (!parsed.ok() && options.loadlist_source == BootSource::kFlash &&
       options.spacewire_fallback) {
     ++report.integrity_retries;
     ++report.spw_fallbacks;
-    std::uint64_t cycles = 0;
-    auto fetched = env.spacewire.fetch("loadlist", cycles);
-    env.soc.charge(cycles);
+    auto fetched = fetch_spw(env, "loadlist");
     if (fetched.ok()) parsed = parse_load_list(fetched.value());
   }
   if (!parsed.ok()) {
     step("acquire_load_list", 0, parsed.status());
     return parsed.status();
   }
-  const LoadList list = parsed.take();
+  LoadList list = parsed.take();
   step("acquire_load_list", 0, Status::Ok(),
        format("%zu entries via %s", list.entries.size(),
               to_string(options.loadlist_source)));
@@ -319,17 +322,10 @@ Status run_bl1(BootEnvironment& env, const BootOptions& options,
   // --- entry deployment with integrity management ---
   for (const LoadEntry& entry : list.entries) {
     auto fetch_image = [&](bool via_spw) -> Result<std::vector<std::uint8_t>> {
-      if (!via_spw) {
-        std::vector<std::uint8_t> image(entry.size);
-        const FlashBank::ReadResult r = env.flash.read(entry.source_offset, image);
-        env.soc.charge(r.cycles);
-        report.flash_corrected_bytes += r.corrected_bytes;
-        return image;
-      }
-      std::uint64_t cycles = 0;
-      auto fetched = env.spacewire.fetch(entry.name, cycles);
-      env.soc.charge(cycles);
-      return fetched;
+      if (via_spw) return fetch_spw(env, entry.name);
+      std::vector<std::uint8_t> image(entry.size);
+      read_flash(env, report, entry.source_offset, image);
+      return image;
     };
 
     bool via_spw = options.loadlist_source == BootSource::kSpaceWire;
@@ -424,7 +420,7 @@ Status run_bl1(BootEnvironment& env, const BootOptions& options,
 
   result.bl1_cycles = env.soc.cycles - start_cycles;
   report.spw_crc_errors = env.spacewire.crc_errors_detected();
-  return Status::Ok();
+  return list;
 }
 
 /// BL2 / application stage: verify the branch target exists and release the
@@ -466,40 +462,18 @@ BootResult run_boot_chain(BootEnvironment& env, const BootOptions& options) {
   }
   result.reached = BootStage::kBl1;
 
-  result.status = run_bl1(env, options, result);
+  const Result<LoadList> list = run_bl1(env, options, result);
+  result.status = list.status();
   result.report.total_cycles = env.soc.cycles;
   if (!result.status.ok()) return result;
   result.reached = BootStage::kBl2;
 
   // "Generation of a BL1 boot report made available for next-stage
-  // software": serialize it into DDR at the published address.
+  // software": serialize it into SRAM at the published address.
   const std::vector<std::uint8_t> serialized = result.report.serialize();
   (void)env.soc.write_bytes(kBootReportAddr, serialized);
 
-  // Re-acquire the (already verified) list for the BL2 handoff check.
-  std::vector<std::uint8_t> list_bytes(8 * 1024);
-  env.flash.read(FlashLayout::kLoadList, list_bytes);
-  if (list_bytes.size() >= 8 && get_u32(list_bytes, 0) == kLoadListMagic) {
-    const std::uint32_t count = get_u32(list_bytes, 4);
-    const std::size_t expected = 8 + static_cast<std::size_t>(count) * 73 + 4;
-    if (expected <= list_bytes.size()) list_bytes.resize(expected);
-  }
-  auto list = parse_load_list(list_bytes);
-  if (list.ok()) {
-    result.status = run_bl2(env, list.value(), result);
-  } else {
-    // SpaceWire-only configurations keep the list remote.
-    std::uint64_t cycles = 0;
-    auto fetched = env.spacewire.fetch("loadlist", cycles);
-    env.soc.charge(cycles);
-    if (fetched.ok()) {
-      auto remote = parse_load_list(fetched.value());
-      result.status = remote.ok() ? run_bl2(env, remote.value(), result)
-                                  : remote.status();
-    } else {
-      result.status = fetched.status();
-    }
-  }
+  result.status = run_bl2(env, list.value(), result);
   result.report.total_cycles = env.soc.cycles;
   if (result.status.ok()) result.reached = BootStage::kApplication;
   return result;

@@ -56,7 +56,7 @@ struct StepRecord {
 
 /// "Generation of a BL1 boot report made available for next-stage software".
 /// Besides the in-memory struct, BL1 serializes a compact binary form into
-/// DDR at kBootReportAddr (CRC-protected) so BL2/application code can read
+/// SRAM at kBootReportAddr (CRC-protected) so BL2/application code can read
 /// it after the handoff.
 struct BootReport {
   std::vector<StepRecord> steps;
@@ -79,9 +79,15 @@ inline constexpr std::uint32_t kBootReportMagic = 0x42525054;  // "BRPT"
 inline constexpr std::uint64_t kBootReportAddr =
     MemoryMap::kSramBase + MemoryMap::kSramSize - 0x1000;
 
-/// Parses + CRC-checks a serialized boot report (what next-stage software
-/// does after the BL2 handoff).
+/// Parses + CRC-checks an exact serialized boot report: `data` must end at
+/// the CRC trailer.
 Result<BootReport> parse_boot_report(std::span<const std::uint8_t> data);
+
+/// Parses the report at the start of a fixed-size slot, as next-stage
+/// software does after the BL2 handoff with the 4 KiB at kBootReportAddr:
+/// the extent the header describes is decoded exactly and the rest of the
+/// slot is ignored.
+Result<BootReport> parse_boot_report_slot(std::span<const std::uint8_t> slot);
 
 struct BootResult {
   BootStage reached = BootStage::kBl0;

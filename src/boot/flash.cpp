@@ -69,11 +69,7 @@ FlashBank::ReadResult FlashBank::read(std::uint64_t addr,
     // Rot one copy's read data: the bitwise vote masks it (and counts it).
     injector_->mutate_bytes(pt_rot_replica_, a);
   }
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    const fault::VoteResult vote = fault::vote_bitwise(a[i], b[i], c[i]);
-    out[i] = static_cast<std::uint8_t>(vote.value);
-    if (vote.corrected) ++result.corrected_bytes;
-  }
+  result.corrected_bytes = fault::vote_images(a, b, c, out).corrected_words;
   if (injector_ && injector_->should_fire(pt_rot_voted_)) {
     // Rot the post-vote data: TMR cannot help; the BL1 digest check must.
     injector_->mutate_bytes(pt_rot_voted_, out);

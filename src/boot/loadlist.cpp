@@ -1,32 +1,23 @@
 #include "boot/loadlist.hpp"
 
 #include <algorithm>
-#include <cstring>
 
+#include "common/bytes.hpp"
 #include "common/crc.hpp"
 #include "common/strings.hpp"
 
 namespace hermes::boot {
 namespace {
 
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-std::uint32_t get_u32(std::span<const std::uint8_t> d, std::size_t o) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(d[o + i]) << (8 * i);
-  return v;
-}
-std::uint64_t get_u64(std::span<const std::uint8_t> d, std::size_t o) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(d[o + i]) << (8 * i);
-  return v;
-}
+constexpr std::size_t kHeaderBytes = 4 + 4;  ///< magic, entry count
+constexpr std::size_t kNameBytes = 16;
+constexpr std::size_t kEntryBytes = 1 + kNameBytes + 8 + 8 + 8 + 32;
+constexpr std::size_t kCrcBytes = 4;
 
-constexpr std::size_t kEntryBytes = 1 + 16 + 8 + 8 + 8 + 32;
+std::size_t image_bytes(std::uint32_t count) {
+  return kHeaderBytes + static_cast<std::size_t>(count) * kEntryBytes +
+         kCrcBytes;
+}
 
 }  // namespace
 
@@ -41,68 +32,69 @@ const char* to_string(LoadKind kind) {
 
 std::vector<std::uint8_t> serialize(const LoadList& list) {
   std::vector<std::uint8_t> out;
-  put_u32(out, kLoadListMagic);
-  put_u32(out, static_cast<std::uint32_t>(list.entries.size()));
+  bytes::Writer w(out);
+  w.u32(kLoadListMagic);
+  w.u32(static_cast<std::uint32_t>(list.entries.size()));
   for (const LoadEntry& entry : list.entries) {
-    out.push_back(static_cast<std::uint8_t>(entry.kind));
-    char name[16] = {0};
-    for (std::size_t i = 0; i < entry.name.size() && i < 15; ++i) {
-      name[i] = entry.name[i];
-    }
-    out.insert(out.end(), name, name + 16);
-    put_u64(out, entry.source_offset);
-    put_u64(out, entry.size);
-    put_u64(out, entry.dest_addr);
-    out.insert(out.end(), entry.digest.begin(), entry.digest.end());
+    w.u8(static_cast<std::uint8_t>(entry.kind));
+    w.padded(entry.name, kNameBytes);
+    w.u64(entry.source_offset);
+    w.u64(entry.size);
+    w.u64(entry.dest_addr);
+    w.raw(entry.digest);
   }
-  put_u32(out, crc32(out.data(), out.size()));
+  w.u32(crc32(out.data(), out.size()));
   return out;
 }
 
 Result<LoadList> parse_load_list(std::span<const std::uint8_t> data) {
-  if (data.size() < 12) {
-    return Status::Error(ErrorCode::kIntegrityError, "load list truncated");
+  bytes::Reader r(data);
+  const std::uint32_t magic = r.u32();
+  const std::uint32_t count = r.u32();
+  if (r.failed() || magic != kLoadListMagic) {
+    return Status::Error(ErrorCode::kIntegrityError, "bad load-list header");
   }
-  if (get_u32(data, 0) != kLoadListMagic) {
-    return Status::Error(ErrorCode::kIntegrityError, "bad load-list magic");
-  }
-  const std::uint32_t crc = get_u32(data, data.size() - 4);
-  if (crc32(data.data(), data.size() - 4) != crc) {
-    return Status::Error(ErrorCode::kIntegrityError, "load-list CRC mismatch");
-  }
-  const std::uint32_t count = get_u32(data, 4);
-  if (8 + static_cast<std::size_t>(count) * kEntryBytes + 4 != data.size()) {
+  if (image_bytes(count) != data.size()) {
     return Status::Error(ErrorCode::kIntegrityError,
                          format("load list size inconsistent (%u entries)", count));
   }
+  const std::span<const std::uint8_t> body = data.first(data.size() - kCrcBytes);
+  if (crc32(body) != bytes::Reader(data.subspan(body.size())).u32()) {
+    return Status::Error(ErrorCode::kIntegrityError, "load-list CRC mismatch");
+  }
   LoadList list;
-  std::size_t offset = 8;
   for (std::uint32_t i = 0; i < count; ++i) {
-    LoadEntry entry;
-    const std::uint8_t kind = data[offset];
+    const std::uint8_t kind = r.u8();
     if (kind < 1 || kind > 3) {
       return Status::Error(ErrorCode::kIntegrityError,
                            format("entry %u: bad kind %u", i, kind));
     }
-    entry.kind = static_cast<LoadKind>(kind);
     // A name is up to 15 bytes, zero-padded to 16: anything after the
     // terminator would be dropped here and the image would not round-trip.
-    const char* name = reinterpret_cast<const char*>(data.data() + offset + 1);
-    const std::size_t name_length = strnlen(name, 15);
-    if (std::any_of(name + name_length, name + 16,
-                    [](char c) { return c != 0; })) {
+    std::optional<std::string> name = r.padded(kNameBytes);
+    if (!name) {
       return Status::Error(ErrorCode::kIntegrityError,
                            format("entry %u: name field not zero-padded", i));
     }
-    entry.name.assign(name, name_length);
-    entry.source_offset = get_u64(data, offset + 17);
-    entry.size = get_u64(data, offset + 25);
-    entry.dest_addr = get_u64(data, offset + 33);
-    for (int b = 0; b < 32; ++b) entry.digest[b] = data[offset + 41 + b];
-    list.entries.push_back(std::move(entry));
-    offset += kEntryBytes;
+    LoadEntry& entry = list.entries.emplace_back();
+    entry.kind = static_cast<LoadKind>(kind);
+    entry.name = std::move(*name);
+    entry.source_offset = r.u64();
+    entry.size = r.u64();
+    entry.dest_addr = r.u64();
+    const std::span<const std::uint8_t> digest = r.raw(entry.digest.size());
+    std::copy(digest.begin(), digest.end(), entry.digest.begin());
   }
   return list;
+}
+
+Result<LoadList> parse_load_list_slot(std::span<const std::uint8_t> slot) {
+  bytes::Reader r(slot);
+  const bool framed = r.u32() == kLoadListMagic;
+  const std::size_t extent = image_bytes(r.u32());
+  return parse_load_list(framed && !r.failed() && extent <= slot.size()
+                             ? slot.first(extent)
+                             : slot);
 }
 
 LoadEntry make_entry(LoadKind kind, std::string name,

@@ -43,8 +43,13 @@ inline constexpr std::uint32_t kLoadListMagic = 0x4C4F4144;  // "LOAD"
 /// Serializes with a CRC-32 trailer.
 std::vector<std::uint8_t> serialize(const LoadList& list);
 
-/// Parses + CRC-checks.
+/// Parses + CRC-checks an exact image: `data` must end at the CRC trailer.
 Result<LoadList> parse_load_list(std::span<const std::uint8_t> data);
+
+/// Parses the load list at the start of a fixed-size slot (BL1's flash
+/// window): the extent the header describes is decoded exactly and the rest
+/// of the slot is ignored.
+Result<LoadList> parse_load_list_slot(std::span<const std::uint8_t> slot);
 
 /// Convenience: builds an entry with the digest of `image` filled in.
 LoadEntry make_entry(LoadKind kind, std::string name,

@@ -12,6 +12,8 @@
 
 #include <cstdint>
 
+#include "common/bytes.hpp"
+
 namespace hermes::fnv {
 
 inline constexpr std::uint64_t kOffsetBasis = 14695981039346656037ULL;
@@ -28,10 +30,7 @@ constexpr std::uint64_t mix_bytes(std::uint64_t hash, const Bytes& bytes) {
 
 /// Folds `value` into `hash` as 8 little-endian bytes.
 constexpr std::uint64_t mix_le64(std::uint64_t hash, std::uint64_t value) {
-  for (int i = 0; i < 8; ++i) {
-    hash = (hash ^ ((value >> (8 * i)) & 0xFF)) * kPrime;
-  }
-  return hash;
+  return mix_bytes(hash, bytes::le<8>(value));
 }
 
 /// Folds `value` into `hash` as one word.

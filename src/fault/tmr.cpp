@@ -29,11 +29,11 @@ VoteResult vote_word(std::uint64_t a, std::uint64_t b, std::uint64_t c) {
 TmrScrubStats vote_images(std::span<const std::uint8_t> a,
                           std::span<const std::uint8_t> b,
                           std::span<const std::uint8_t> c,
-                          std::vector<std::uint8_t>& out) {
-  assert(a.size() == b.size() && b.size() == c.size());
+                          std::span<std::uint8_t> out) {
+  assert(a.size() == b.size() && b.size() == c.size() &&
+         c.size() == out.size());
   TmrScrubStats stats;
   stats.words = a.size();
-  out.resize(a.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
     const VoteResult vote = vote_bitwise(a[i], b[i], c[i]);
     out[i] = static_cast<std::uint8_t>(vote.value);

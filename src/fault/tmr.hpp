@@ -6,10 +6,8 @@
 // hardware Flash components)" (HERMES, Sec. IV).
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <span>
-#include <vector>
 
 namespace hermes::fault {
 
@@ -37,10 +35,10 @@ struct TmrScrubStats {
 };
 
 /// Votes three equally-sized byte images (e.g. three flash copies of a boot
-/// image) into `out`, using bitwise voting per 8-bit word.
+/// image) into `out`, of the same size, using bitwise voting per 8-bit word.
 TmrScrubStats vote_images(std::span<const std::uint8_t> a,
                           std::span<const std::uint8_t> b,
                           std::span<const std::uint8_t> c,
-                          std::vector<std::uint8_t>& out);
+                          std::span<std::uint8_t> out);
 
 }  // namespace hermes::fault

@@ -1,26 +1,67 @@
 #include "nxmap/bitstream.hpp"
 
-#include <cstring>
 #include <map>
 
+#include "common/bytes.hpp"
 #include "common/crc.hpp"
 #include "common/strings.hpp"
 
 namespace hermes::nx {
 namespace {
 
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t value) {
-  out.push_back(static_cast<std::uint8_t>(value));
-  out.push_back(static_cast<std::uint8_t>(value >> 8));
-  out.push_back(static_cast<std::uint8_t>(value >> 16));
-  out.push_back(static_cast<std::uint8_t>(value >> 24));
-}
+constexpr std::size_t kCrcBytes = 4;
 
-std::uint32_t get_u32(std::span<const std::uint8_t> data, std::size_t offset) {
-  return static_cast<std::uint32_t>(data[offset]) |
-         (static_cast<std::uint32_t>(data[offset + 1]) << 8) |
-         (static_cast<std::uint32_t>(data[offset + 2]) << 16) |
-         (static_cast<std::uint32_t>(data[offset + 3]) << 24);
+/// The one decoder behind verify_bitstream and parse_bitstream: checks the
+/// magic and the global CRC, then walks every frame and its CRC. The walk
+/// must end exactly at the global CRC trailer. Decoded frames are appended
+/// to `frames` when it is non-null.
+Result<BitstreamInfo> decode(std::span<const std::uint8_t> image,
+                             std::vector<BitstreamFrame>* frames) {
+  if (image.size() < kBitstreamHeaderBytes + kCrcBytes) {
+    return Status::Error(ErrorCode::kIntegrityError, "bitstream truncated");
+  }
+  const std::span<const std::uint8_t> body =
+      image.first(image.size() - kCrcBytes);
+  bytes::Reader walk(body);
+  if (walk.u32() != kBitstreamMagic) {
+    return Status::Error(ErrorCode::kIntegrityError, "bad bitstream magic");
+  }
+  if (crc32(body) != bytes::Reader(image.subspan(body.size())).u32()) {
+    return Status::Error(ErrorCode::kIntegrityError, "global CRC mismatch");
+  }
+  BitstreamInfo info;
+  info.device_id = walk.u32();
+  info.frames = walk.u32();
+  for (unsigned f = 0; f < info.frames; ++f) {
+    const std::size_t start = walk.consumed();
+    const std::uint32_t column = walk.u32();
+    const std::uint32_t words = walk.u32();
+    bytes::Reader payload(walk.raw(static_cast<std::size_t>(words) * 4));
+    const std::size_t covered = walk.consumed() - start;
+    const std::uint32_t crc = walk.u32();
+    if (walk.failed()) {
+      return Status::Error(ErrorCode::kIntegrityError,
+                           format("frame %u truncated", f));
+    }
+    if (crc32(body.subspan(start, covered)) != crc) {
+      return Status::Error(ErrorCode::kIntegrityError,
+                           format("frame %u CRC mismatch", f));
+    }
+    if (frames == nullptr) continue;
+    BitstreamFrame& frame = frames->emplace_back();
+    frame.column = column;
+    frame.words.resize(words);
+    for (std::uint32_t& word : frame.words) word = payload.u32();
+    frame.crc = crc;
+    frame.offset = start;
+    frame.bytes = walk.consumed() - start;
+  }
+  if (walk.remaining() != 0) {
+    return Status::Error(ErrorCode::kIntegrityError,
+                         "bytes between the last frame and the global CRC");
+  }
+  info.bytes = image.size();
+  return info;
 }
 
 std::uint32_t device_id_of(const NxDevice& device) {
@@ -37,27 +78,29 @@ std::size_t ParsedBitstream::total_words() const {
 
 std::uint32_t frame_crc(std::uint32_t column,
                         std::span<const std::uint32_t> words) {
-  std::vector<std::uint8_t> encoded;
-  encoded.reserve(8 + words.size() * 4);
-  put_u32(encoded, column);
-  put_u32(encoded, static_cast<std::uint32_t>(words.size()));
-  for (std::uint32_t word : words) put_u32(encoded, word);
-  return crc32(encoded.data(), encoded.size());
+  Crc32 crc;
+  crc.update(bytes::le<4>(column));
+  crc.update(bytes::le<4>(static_cast<std::uint32_t>(words.size())));
+  for (std::uint32_t word : words) crc.update(bytes::le<4>(word));
+  return crc.value();
 }
 
 std::vector<std::uint8_t> pack_raw_bitstream(
     std::uint32_t device_id, std::span<const BitstreamFrame> frames) {
   std::vector<std::uint8_t> out;
-  put_u32(out, kBitstreamMagic);
-  put_u32(out, device_id);
-  put_u32(out, static_cast<std::uint32_t>(frames.size()));
+  bytes::Writer w(out);
+  w.u32(kBitstreamMagic);
+  w.u32(device_id);
+  w.u32(static_cast<std::uint32_t>(frames.size()));
   for (const BitstreamFrame& frame : frames) {
-    put_u32(out, frame.column);
-    put_u32(out, static_cast<std::uint32_t>(frame.words.size()));
-    for (std::uint32_t word : frame.words) put_u32(out, word);
-    put_u32(out, frame_crc(frame.column, frame.words));
+    const std::size_t start = out.size();
+    w.u32(frame.column);
+    w.u32(static_cast<std::uint32_t>(frame.words.size()));
+    for (std::uint32_t word : frame.words) w.u32(word);
+    // The frame CRC covers exactly the bytes just written: frame_crc's input.
+    w.u32(crc32(std::span(out).subspan(start)));
   }
-  put_u32(out, crc32(out.data(), out.size()));
+  w.u32(crc32(out.data(), out.size()));
   return out;
 }
 
@@ -101,65 +144,14 @@ std::vector<std::uint8_t> pack_bitstream(const hw::Module& module,
 }
 
 Result<BitstreamInfo> verify_bitstream(std::span<const std::uint8_t> image) {
-  if (image.size() < 16) {
-    return Status::Error(ErrorCode::kIntegrityError, "bitstream truncated");
-  }
-  if (get_u32(image, 0) != kBitstreamMagic) {
-    return Status::Error(ErrorCode::kIntegrityError, "bad bitstream magic");
-  }
-  const std::uint32_t global_crc = get_u32(image, image.size() - 4);
-  if (crc32(image.data(), image.size() - 4) != global_crc) {
-    return Status::Error(ErrorCode::kIntegrityError, "global CRC mismatch");
-  }
-
-  BitstreamInfo info;
-  info.device_id = get_u32(image, 4);
-  const std::uint32_t frames = get_u32(image, 8);
-  std::size_t offset = 12;
-  for (std::uint32_t f = 0; f < frames; ++f) {
-    if (offset + 8 > image.size() - 4) {
-      return Status::Error(ErrorCode::kIntegrityError,
-                           format("frame %u truncated", f));
-    }
-    const std::uint32_t words = get_u32(image, offset + 4);
-    const std::size_t frame_bytes = 8 + static_cast<std::size_t>(words) * 4;
-    if (offset + frame_bytes + 4 > image.size() - 4 + 1) {
-      return Status::Error(ErrorCode::kIntegrityError,
-                           format("frame %u payload truncated", f));
-    }
-    const std::uint32_t crc = get_u32(image, offset + frame_bytes);
-    if (crc32(image.data() + offset, frame_bytes) != crc) {
-      return Status::Error(ErrorCode::kIntegrityError,
-                           format("frame %u CRC mismatch", f));
-    }
-    offset += frame_bytes + 4;
-  }
-  info.frames = frames;
-  info.bytes = image.size();
-  return info;
+  return decode(image, nullptr);
 }
 
 Result<ParsedBitstream> parse_bitstream(std::span<const std::uint8_t> image) {
-  auto info = verify_bitstream(image);
-  if (!info.ok()) return info.status();
-
   ParsedBitstream parsed;
+  auto info = decode(image, &parsed.frames);
+  if (!info.ok()) return info.status();
   parsed.device_id = info.value().device_id;
-  std::size_t offset = kBitstreamHeaderBytes;
-  for (unsigned f = 0; f < info.value().frames; ++f) {
-    BitstreamFrame frame;
-    frame.column = get_u32(image, offset);
-    const std::uint32_t words = get_u32(image, offset + 4);
-    frame.words.reserve(words);
-    for (std::uint32_t w = 0; w < words; ++w) {
-      frame.words.push_back(get_u32(image, offset + 8 + w * 4));
-    }
-    frame.crc = get_u32(image, offset + 8 + words * 4);
-    frame.offset = offset;
-    frame.bytes = 8 + static_cast<std::size_t>(words) * 4 + 4;
-    offset += frame.bytes;
-    parsed.frames.push_back(std::move(frame));
-  }
   return parsed;
 }
 

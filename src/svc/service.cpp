@@ -1,8 +1,9 @@
 #include "svc/service.hpp"
 
-#include <cstring>
+#include <bit>
 #include <utility>
 
+#include "common/bytes.hpp"
 #include "hls/eucalyptus.hpp"
 #include "nxmap/device.hpp"
 
@@ -17,52 +18,42 @@ struct Characterization {
   std::string xml;
 };
 
-void append_u64(std::vector<std::uint8_t>& image, std::uint64_t value) {
-  for (int i = 0; i < 8; ++i) {
-    image.push_back(static_cast<std::uint8_t>((value >> (8 * i)) & 0xFF));
-  }
-}
-
-void append_f64(std::vector<std::uint8_t>& image, double value) {
-  std::uint64_t bits = 0;
-  std::memcpy(&bits, &value, sizeof(bits));
-  append_u64(image, bits);
-}
-
-void append_str(std::vector<std::uint8_t>& image, std::string_view text) {
-  append_u64(image, text.size());
-  image.insert(image.end(), text.begin(), text.end());
-}
-
+// Integrity images are little-endian u64 fields: a text is its length
+// followed by its bytes, a double its IEEE-754 bit pattern.
 std::vector<std::uint8_t> image_of_characterization(
     const Characterization& artifact) {
   std::vector<std::uint8_t> image;
-  append_u64(image, artifact.points.size());
-  append_str(image, artifact.xml);
+  bytes::Writer w(image);
+  w.u64(artifact.points.size());
+  w.u64(artifact.xml.size());
+  w.raw(artifact.xml);
   return image;
 }
 
 std::vector<std::uint8_t> image_of_flow(const hls::FlowResult& flow) {
   std::vector<std::uint8_t> image;
-  append_u64(image, flow.fsmd.module.digest());
-  append_u64(image, flow.fsm_states);
-  append_u64(image, flow.ir_instrs_after);
-  append_str(image, flow.verilog);
+  bytes::Writer w(image);
+  w.u64(flow.fsmd.module.digest());
+  w.u64(flow.fsm_states);
+  w.u64(flow.ir_instrs_after);
+  w.u64(flow.verilog.size());
+  w.raw(flow.verilog);
   return image;
 }
 
 std::vector<std::uint8_t> image_of_map(const nx::MapResult& map) {
   std::vector<std::uint8_t> image;
-  append_u64(image, map.synthesized.digest());
-  append_u64(image, map.mapped.utilization.luts);
-  append_u64(image, map.mapped.utilization.ffs);
-  append_u64(image, map.mapped.utilization.dsps);
-  append_u64(image, map.mapped.utilization.brams);
-  append_f64(image, map.timing.critical_path_ns);
-  append_f64(image, map.timing.fmax_mhz);
-  append_f64(image, map.timing.slack_ns);
-  append_f64(image, map.power.total_mw);
-  append_u64(image, map.route_iterations);
+  bytes::Writer w(image);
+  w.u64(map.synthesized.digest());
+  w.u64(map.mapped.utilization.luts);
+  w.u64(map.mapped.utilization.ffs);
+  w.u64(map.mapped.utilization.dsps);
+  w.u64(map.mapped.utilization.brams);
+  w.u64(std::bit_cast<std::uint64_t>(map.timing.critical_path_ns));
+  w.u64(std::bit_cast<std::uint64_t>(map.timing.fmax_mhz));
+  w.u64(std::bit_cast<std::uint64_t>(map.timing.slack_ns));
+  w.u64(std::bit_cast<std::uint64_t>(map.power.total_mw));
+  w.u64(map.route_iterations);
   return image;
 }
 

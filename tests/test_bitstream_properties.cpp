@@ -3,12 +3,15 @@
 // before programming", so this file checks it exhaustively — every single
 // bit of a packed image flipped one at a time (header, payloads, frame
 // CRCs, global CRC), truncation at every byte boundary, and magic
-// mismatches — across tile-column counts 1..4.
+// mismatches — across tile-column counts 1..4. A seeded loop then reseals
+// the global CRC after each mutation, so the frame walk itself is tested.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <vector>
 
+#include "common/crc.hpp"
+#include "common/rng.hpp"
 #include "nxmap/bitstream.hpp"
 
 namespace hermes::nx {
@@ -118,6 +121,65 @@ TEST(BitstreamProperties, EmptyFrameListStillVerifies) {
   ASSERT_TRUE(parsed.ok());
   EXPECT_TRUE(parsed.value().frames.empty());
   EXPECT_EQ(parsed.value().total_words(), 0u);
+}
+
+/// Rewrites the global CRC trailer so a mutated image reaches the frame walk.
+void reseal(std::vector<std::uint8_t>& image) {
+  if (image.size() < 4) return;
+  const std::uint32_t crc = crc32(image.data(), image.size() - 4);
+  for (int i = 0; i < 4; ++i) {
+    image[image.size() - 4 + i] = static_cast<std::uint8_t>(crc >> (8 * i));
+  }
+}
+
+// The exhaustive tests above never reseal the global CRC, so a mutation that
+// keeps every frame CRC intact (bytes between the last frame and the
+// trailer, a frame count that leaves frames unread) never reached the frame
+// walk. Here every mutation is resealed; each image the decoder accepts must
+// be the one pack_raw_bitstream writes for its parse.
+TEST(BitstreamProperties, ResealedMutationsRoundTripOrAreRejected) {
+  Rng rng(20);
+  std::size_t accepted = 0;
+  for (int trial = 0; trial < 2000; ++trial) {
+    std::vector<std::uint8_t> image =
+        synthetic_image(static_cast<unsigned>(rng.next_below(5)));
+    switch (rng.next_below(4)) {
+      case 0: {  // bytes inserted ahead of the trailer
+        const std::uint64_t extra = 1 + rng.next_below(8);
+        image.insert(image.end() - 4, extra,
+                     static_cast<std::uint8_t>(rng.next_below(256)));
+        break;
+      }
+      case 1: {  // a frame-count lie
+        const auto count = static_cast<std::uint32_t>(rng.next_below(6));
+        for (int i = 0; i < 4; ++i) {
+          image[8 + i] = static_cast<std::uint8_t>(count >> (8 * i));
+        }
+        break;
+      }
+      case 2: {  // one to three bit flips ahead of the trailer
+        const std::uint64_t flips = 1 + rng.next_below(3);
+        for (std::uint64_t f = 0; f < flips; ++f) {
+          image[rng.next_below(image.size() - 4)] ^=
+              static_cast<std::uint8_t>(1u << rng.next_below(8));
+        }
+        break;
+      }
+      default:  // truncation anywhere
+        image.resize(rng.next_below(image.size()));
+        break;
+    }
+    reseal(image);
+    const auto parsed = parse_bitstream(image);
+    EXPECT_EQ(verify_bitstream(image).ok(), parsed.ok()) << "trial " << trial;
+    if (!parsed.ok()) continue;
+    ++accepted;
+    ASSERT_EQ(pack_raw_bitstream(parsed.value().device_id,
+                                 parsed.value().frames),
+              image)
+        << "trial " << trial;
+  }
+  EXPECT_GT(accepted, 0u);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "boot/bl.hpp"
+#include "common/bytes.hpp"
 #include "common/crc.hpp"
 #include "common/rng.hpp"
 #include "hls/flow.hpp"
@@ -297,6 +298,25 @@ TEST(BootChain, CorruptedBl1WithoutFallbackFails) {
   EXPECT_EQ(result.status.code(), ErrorCode::kIntegrityError);
 }
 
+// BL0 checks a SpaceWire BL1 with the same header decoder as a flash one,
+// so a header announcing an empty image is rejected even though the CRC of
+// zero bytes matches.
+TEST(BootChain, SpaceWireBl1OfSizeZeroIsRejected) {
+  Staged staged;
+  std::vector<std::uint8_t> framed;
+  bytes::Writer w(framed);
+  w.u32(kBl1Magic);
+  w.u32(0);
+  w.u32(crc32(std::span<const std::uint8_t>()));
+  staged.env.spacewire.host_object("bl1", framed);
+  BootOptions options;
+  options.bl1_source = BootSource::kSpaceWire;
+  options.spacewire_fallback = false;
+  const BootResult result = run_boot_chain(staged.env, options);
+  EXPECT_EQ(result.reached, BootStage::kBl0);
+  EXPECT_EQ(result.status.code(), ErrorCode::kIntegrityError);
+}
+
 TEST(BootChain, FlashTmrSurvivesScatteredUpsets) {
   Staged staged;
   Rng rng(9);
@@ -374,6 +394,44 @@ TEST(BootChain, MissingBl2EntryStopsAtBl2) {
   EXPECT_EQ(result.reached, BootStage::kBl2);
 }
 
+// BL2 branches on the load list BL1 verified. Flash read 4 is the first
+// read after BL1 deployed everything; rotting it with SpaceWire dead must not
+// fail a boot, because nothing after BL1 reads the list again.
+TEST(BootChain, Bl2TakesTheListBl1Verified) {
+  int failed = 0;
+  std::string first_failure;
+  for (std::uint64_t seed = 1; seed <= 400; ++seed) {
+    fault::FaultPlan plan;
+    plan.seed = seed;
+    fault::FaultSchedule rot;
+    rot.probability = 1.0;
+    rot.window_begin = 4;
+    rot.window_end = 5;
+    fault::FaultSchedule drop;
+    drop.probability = 1.0;
+    plan.points = {{"flash.rot.voted", rot}, {"spw.frame.drop", drop}};
+    fault::FaultInjector injector(plan);
+
+    BootEnvironment env;
+    env.attach_injector(&injector);
+    LoadList list;
+    LoadEntry bl2;
+    bl2.kind = LoadKind::kBl2;
+    bl2.name = "bl2";
+    bl2.dest_addr = MemoryMap::kDdrBase;
+    list.entries = {bl2};
+    stage_boot_media(env, pattern_image(1024, 0x11), list,
+                     {pattern_image(2048, 0x33)});
+    const BootResult result = run_boot_chain(env);
+    if (result.reached != BootStage::kApplication && failed++ == 0) {
+      first_failure = "seed " + std::to_string(seed) + " stopped at " +
+                      to_string(result.reached) + ": " +
+                      result.status.to_string();
+    }
+  }
+  EXPECT_EQ(failed, 0) << first_failure;
+}
+
 // Parameterized: boot succeeds across replica counts and link-noise levels.
 struct BootEnvCase {
   unsigned replicas;
@@ -445,6 +503,90 @@ TEST(BootReportPersistence, CorruptionDetected) {
   EXPECT_FALSE(parse_boot_report({}).ok());
 }
 
+// Seeded mutation loop over the boot-report decoder, the companion of
+// LoadListFormat.MutatedImagesRoundTripOrAreRejected: bit flips,
+// truncations, count lies, pokes into the name fields and the ok bytes (each
+// resealed), and bytes appended past the CRC trailer. Every image the exact
+// decoder accepts is the one serialize() writes for its decode. The slot
+// decoder sees the same image at the start of a 4 KiB slot and must
+// re-encode the slot's prefix over the decoded extent.
+TEST(BootReportPersistence, MutatedImagesRoundTripOrAreRejected) {
+  BootReport report;
+  report.total_cycles = 123456;
+  report.flash_corrected_bytes = 7;
+  report.spw_crc_errors = 2;
+  report.integrity_retries = 1;
+  report.spw_fallbacks = 1;
+  report.steps.push_back({"init_cpu0", true, 500, ""});
+  report.steps.push_back({"deploy payload", false, 42, ""});
+  report.steps.push_back({"scrub_efpga", true, 9, ""});
+  const std::vector<std::uint8_t> original = report.serialize();
+  constexpr std::size_t kHeaderBytes = 64;
+  constexpr std::size_t kStepBytes = 24 + 1 + 8;
+  Rng rng(20);
+  std::size_t accepted = 0;
+  for (int trial = 0; trial < 3000; ++trial) {
+    std::vector<std::uint8_t> bytes = original;
+    const std::size_t step_field =
+        kHeaderBytes + rng.next_below(report.steps.size()) * kStepBytes;
+    bool seal = true;
+    switch (rng.next_below(6)) {
+      case 0: {  // one to three bit flips ahead of the CRC
+        const std::uint64_t flips = 1 + rng.next_below(3);
+        for (std::uint64_t f = 0; f < flips; ++f) {
+          bytes[rng.next_below(bytes.size() - 4)] ^=
+              static_cast<std::uint8_t>(1u << rng.next_below(8));
+        }
+        break;
+      }
+      case 1:  // truncation anywhere
+        bytes.resize(rng.next_below(bytes.size()));
+        break;
+      case 2: {  // a count lie, sometimes with the body resized to match
+        const auto count = static_cast<std::uint32_t>(rng.next_below(6));
+        for (int i = 0; i < 4; ++i) {
+          bytes[4 + i] = static_cast<std::uint8_t>(count >> (8 * i));
+        }
+        if (rng.next_below(2) == 0) {
+          bytes.resize(kHeaderBytes + count * kStepBytes + 4);
+        }
+        break;
+      }
+      case 3:  // a non-zero byte anywhere in a name field
+        bytes[step_field + rng.next_below(24)] =
+            static_cast<std::uint8_t>(1 + rng.next_below(255));
+        break;
+      case 4:  // any ok byte
+        bytes[step_field + 24] = static_cast<std::uint8_t>(rng.next_below(256));
+        break;
+      default: {  // bytes past the extent; the trailer stays valid
+        const std::uint64_t extra = 1 + rng.next_below(8);
+        for (std::uint64_t e = 0; e < extra; ++e) {
+          bytes.push_back(static_cast<std::uint8_t>(rng.next_below(256)));
+        }
+        seal = false;
+        break;
+      }
+    }
+    if (seal) reseal(bytes);
+    const auto parsed = parse_boot_report(bytes);
+    if (parsed.ok()) {
+      ++accepted;
+      ASSERT_EQ(parsed.value().serialize(), bytes) << "trial " << trial;
+    }
+    std::vector<std::uint8_t> slot = bytes;
+    slot.resize(4096, 0xA5);
+    const auto from_slot = parse_boot_report_slot(slot);
+    if (from_slot.ok()) {
+      const std::vector<std::uint8_t> encoded = from_slot.value().serialize();
+      ASSERT_EQ(encoded, std::vector<std::uint8_t>(
+                             slot.begin(), slot.begin() + encoded.size()))
+          << "trial " << trial;
+    }
+  }
+  EXPECT_GT(accepted, 0u);
+}
+
 TEST(BootReportPersistence, NextStageReadsReportFromDdr) {
   // The paper's requirement: the report is "made available for next-stage
   // software" — read it back from the published DDR address after boot.
@@ -453,7 +595,7 @@ TEST(BootReportPersistence, NextStageReadsReportFromDdr) {
   ASSERT_TRUE(result.status.ok());
   std::vector<std::uint8_t> raw(4096);
   ASSERT_TRUE(staged.env.soc.read_bytes(kBootReportAddr, raw).ok());
-  auto parsed = parse_boot_report(raw);
+  auto parsed = parse_boot_report_slot(raw);
   ASSERT_TRUE(parsed.ok()) << parsed.status().to_string();
   EXPECT_EQ(parsed.value().steps.size(), result.report.steps.size());
   EXPECT_GT(parsed.value().total_cycles, 0u);

@@ -38,7 +38,7 @@ TEST(Tmr, ImageVoting) {
   std::vector<std::uint8_t> a = {1, 2, 3, 4}, b = a, c = a;
   b[1] ^= 0xFF;  // corrupt one replica
   c[3] ^= 0x01;
-  std::vector<std::uint8_t> out;
+  std::vector<std::uint8_t> out(a.size());
   const TmrScrubStats stats = vote_images(a, b, c, out);
   EXPECT_EQ(out, (std::vector<std::uint8_t>{1, 2, 3, 4}));
   EXPECT_EQ(stats.corrected_words, 2u);

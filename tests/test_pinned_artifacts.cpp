@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "apps/kernels.hpp"
+#include "boot/bl.hpp"
 #include "common/fnv.hpp"
 #include "hls/flow.hpp"
 #include "nxmap/flow.hpp"
@@ -95,6 +96,57 @@ TEST(PinnedArtifacts, ServiceStageKeys) {
     EXPECT_EQ(stages[s].stage, static_cast<svc::Stage>(s));
     EXPECT_EQ(stages[s].key, expected[s]) << svc::to_string(stages[s].stage);
   }
+}
+
+// Pins the boot-path wire formats: a fixed load list, and the boot reports of
+// fault-free boots from flash and from SpaceWire. A codec change must leave
+// every byte (and every charged cycle the reports carry) in place.
+TEST(PinnedArtifacts, BootFormatDigests) {
+  auto image = [](std::size_t bytes, std::uint8_t seed) {
+    std::vector<std::uint8_t> out(bytes);
+    for (std::size_t i = 0; i < bytes; ++i) {
+      out[i] = static_cast<std::uint8_t>(seed + i * 7);
+    }
+    return out;
+  };
+
+  boot::LoadList fixed;
+  fixed.entries.push_back(boot::make_entry(boot::LoadKind::kSoftware, "app",
+                                           image(777, 3), 0x2'0000,
+                                           boot::MemoryMap::kDdrBase));
+  fixed.entries.push_back(boot::make_entry(boot::LoadKind::kBitstream, "fpga",
+                                           image(96, 5), 0x2'0400, 0));
+  fixed.entries.push_back(boot::make_entry(boot::LoadKind::kBl2, "bl2",
+                                           image(64, 9), 0x2'0500,
+                                           boot::MemoryMap::kDdrBase + 0x1000));
+  EXPECT_EQ(fnv::mix_bytes(fnv::kOffsetBasis, boot::serialize(fixed)),
+            0xcb912af433a24134ULL);
+
+  auto boot_report_digest = [&](boot::BootSource source) {
+    boot::BootEnvironment env;
+    boot::LoadList list;
+    boot::LoadEntry sw;
+    sw.kind = boot::LoadKind::kSoftware;
+    sw.name = "payload";
+    sw.dest_addr = boot::MemoryMap::kDdrBase + 0x1000;
+    boot::LoadEntry bl2;
+    bl2.kind = boot::LoadKind::kBl2;
+    bl2.name = "bl2";
+    bl2.dest_addr = boot::MemoryMap::kDdrBase;
+    list.entries = {sw, bl2};
+    boot::stage_boot_media(env, image(4096, 0x11), list,
+                           {image(2048, 0x22), image(1024, 0x33)});
+    boot::BootOptions options;
+    options.bl1_source = source;
+    options.loadlist_source = source;
+    const boot::BootResult result = boot::run_boot_chain(env, options);
+    EXPECT_EQ(result.reached, boot::BootStage::kApplication);
+    return fnv::mix_bytes(fnv::kOffsetBasis, result.report.serialize());
+  };
+  EXPECT_EQ(boot_report_digest(boot::BootSource::kFlash),
+            0x23d6761bb7e901a9ULL);
+  EXPECT_EQ(boot_report_digest(boot::BootSource::kSpaceWire),
+            0xf04b698560ada80fULL);
 }
 
 }  // namespace
