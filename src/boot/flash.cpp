@@ -1,5 +1,6 @@
 #include "boot/flash.hpp"
 
+#include <algorithm>
 #include <cassert>
 
 #include "fault/tmr.hpp"
@@ -7,25 +8,28 @@
 namespace hermes::boot {
 
 void FlashDevice::program(std::uint64_t addr, std::span<const std::uint8_t> data) {
-  for (std::size_t i = 0; i < data.size(); ++i) {
-    if (addr + i < store_.size()) store_[addr + i] = data[i];
-  }
+  if (addr >= size()) return;
+  store_.write(addr, data.first(std::min<std::uint64_t>(data.size(), size() - addr)));
 }
 
 std::uint64_t FlashDevice::read(std::uint64_t addr,
                                 std::span<std::uint8_t> out) const {
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    out[i] = peek(addr + i);
-  }
+  const std::size_t held =
+      addr < size() ? std::min<std::uint64_t>(out.size(), size() - addr) : 0;
+  if (held > 0) store_.read(addr, out.first(held));
+  std::fill(out.begin() + held, out.end(), std::uint8_t{0xFF});
   const std::uint64_t words = (out.size() + 3) / 4;
   return timing_.setup_cycles + words * timing_.cycles_per_word;
 }
 
 void FlashDevice::inject_bitflips(std::size_t count, Rng& rng) {
   for (std::size_t i = 0; i < count; ++i) {
-    const std::uint64_t byte = rng.next_below(store_.size());
+    const std::uint64_t byte = rng.next_below(size());
     const unsigned bit = static_cast<unsigned>(rng.next_below(8));
-    store_[byte] ^= static_cast<std::uint8_t>(1u << bit);
+    std::uint8_t value = 0;
+    store_.read(byte, std::span(&value, 1));
+    value ^= static_cast<std::uint8_t>(1u << bit);
+    store_.write(byte, std::span(&value, 1));
   }
 }
 
@@ -61,15 +65,19 @@ FlashBank::ReadResult FlashBank::read(std::uint64_t addr,
     }
     return result;
   }
-  std::vector<std::uint8_t> a(out.size()), b(out.size()), c(out.size());
-  result.cycles += devices_[0].read(addr, a);
+  // Replica 0 is read straight into `out` and voted in place; replicas 1
+  // and 2 share one scratch buffer.
+  std::vector<std::uint8_t> scratch(2 * out.size());
+  const std::span<std::uint8_t> b = std::span(scratch).first(out.size());
+  const std::span<std::uint8_t> c = std::span(scratch).last(out.size());
+  result.cycles += devices_[0].read(addr, out);
   result.cycles += devices_[1].read(addr, b);
   result.cycles += devices_[2].read(addr, c);
   if (injector_ && injector_->should_fire(pt_rot_replica_)) {
     // Rot one copy's read data: the bitwise vote masks it (and counts it).
-    injector_->mutate_bytes(pt_rot_replica_, a);
+    injector_->mutate_bytes(pt_rot_replica_, out);
   }
-  result.corrected_bytes = fault::vote_images(a, b, c, out).corrected_words;
+  result.corrected_bytes = fault::vote_images(out, b, c, out).corrected_words;
   if (injector_ && injector_->should_fire(pt_rot_voted_)) {
     // Rot the post-vote data: TMR cannot help; the BL1 digest check must.
     injector_->mutate_bytes(pt_rot_voted_, out);

@@ -11,6 +11,7 @@
 #include <span>
 #include <vector>
 
+#include "common/cow_memory.hpp"
 #include "common/rng.hpp"
 #include "fault/injector.hpp"
 
@@ -21,6 +22,10 @@ struct FlashTiming {
   unsigned cycles_per_word = 4;  ///< 32-bit word read
 };
 
+/// One flash device. The array is erased (0xFF) at construction and stored
+/// in copy-on-write pages, so only the pages ever programmed or hit by a bit
+/// flip take memory. Bytes past the end of the device read as 0xFF and
+/// programming them has no effect.
 class FlashDevice {
  public:
   explicit FlashDevice(std::size_t bytes, FlashTiming timing = {})
@@ -36,11 +41,13 @@ class FlashDevice {
   void inject_bitflips(std::size_t count, Rng& rng);
 
   [[nodiscard]] std::uint8_t peek(std::uint64_t addr) const {
-    return addr < store_.size() ? store_[addr] : 0xFF;
+    std::uint8_t byte = 0xFF;
+    (void)read(addr, std::span(&byte, 1));
+    return byte;
   }
 
  private:
-  std::vector<std::uint8_t> store_;
+  CowMemory store_;
   FlashTiming timing_;
 };
 

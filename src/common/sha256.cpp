@@ -1,5 +1,6 @@
 #include "common/sha256.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
 
@@ -70,14 +71,24 @@ void Sha256::process_block(const std::uint8_t* block) {
 }
 
 void Sha256::update(std::span<const std::uint8_t> data) {
+  if (data.empty()) return;
   total_bytes_ += data.size();
-  for (std::uint8_t byte : data) {
-    buffer_[buffered_++] = byte;
-    if (buffered_ == 64) {
-      process_block(buffer_.data());
-      buffered_ = 0;
-    }
+  // Top up a partial block first, then compress whole blocks straight from
+  // the input; only a tail shorter than a block is buffered.
+  if (buffered_ > 0) {
+    const std::size_t take = std::min(data.size(), buffer_.size() - buffered_);
+    std::memcpy(buffer_.data() + buffered_, data.data(), take);
+    buffered_ += take;
+    data = data.subspan(take);
+    if (buffered_ < buffer_.size()) return;
+    process_block(buffer_.data());
+    buffered_ = 0;
   }
+  for (; data.size() >= buffer_.size(); data = data.subspan(buffer_.size())) {
+    process_block(data.data());
+  }
+  if (!data.empty()) std::memcpy(buffer_.data(), data.data(), data.size());
+  buffered_ = data.size();
 }
 
 void Sha256::update(const void* data, std::size_t size) {
@@ -85,16 +96,15 @@ void Sha256::update(const void* data, std::size_t size) {
 }
 
 Sha256Digest Sha256::digest() {
+  // Padding: 0x80, zeros up to 56 mod 64, then the big-endian bit length.
   const std::uint64_t bit_length = total_bytes_ * 8;
-  const std::uint8_t pad_one = 0x80;
-  update(std::span(&pad_one, 1));
-  const std::uint8_t zero = 0;
-  while (buffered_ != 56) update(std::span(&zero, 1));
-  std::array<std::uint8_t, 8> length_bytes;
+  std::array<std::uint8_t, 72> pad{};
+  pad[0] = 0x80;
+  const std::size_t length_at = (buffered_ < 56 ? 56 : 120) - buffered_;
   for (int i = 0; i < 8; ++i) {
-    length_bytes[i] = static_cast<std::uint8_t>(bit_length >> (56 - 8 * i));
+    pad[length_at + i] = static_cast<std::uint8_t>(bit_length >> (56 - 8 * i));
   }
-  update(length_bytes);
+  update(std::span(pad).first(length_at + 8));
 
   Sha256Digest out;
   for (int i = 0; i < 8; ++i) {

@@ -6,14 +6,12 @@
 
 namespace hermes::fault {
 
+// Zeroed raw storage is valid under every scheme (edac_encode(0) == 0).
 ScrubMemory::ScrubMemory(std::size_t words, Protection protection)
     : protection_(protection), golden_(words, 0), raw_(words, 0) {
   if (protection_ == Protection::kTmr) {
     raw_b_.assign(words, 0);
     raw_c_.assign(words, 0);
-  }
-  if (protection_ == Protection::kEdac) {
-    for (std::size_t i = 0; i < words; ++i) raw_[i] = edac_encode(0);
   }
 }
 

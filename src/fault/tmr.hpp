@@ -36,6 +36,7 @@ struct TmrScrubStats {
 
 /// Votes three equally-sized byte images (e.g. three flash copies of a boot
 /// image) into `out`, of the same size, using bitwise voting per 8-bit word.
+/// `out` may be the same span as `a` (the vote then runs in place).
 TmrScrubStats vote_images(std::span<const std::uint8_t> a,
                           std::span<const std::uint8_t> b,
                           std::span<const std::uint8_t> c,

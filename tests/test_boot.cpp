@@ -2,10 +2,15 @@
 // SoC bring-up rules, and the BL0 -> BL1 -> BL2 chain with fault injection.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <span>
+#include <vector>
+
 #include "boot/bl.hpp"
 #include "common/bytes.hpp"
 #include "common/crc.hpp"
 #include "common/rng.hpp"
+#include "fault/tmr.hpp"
 #include "hls/flow.hpp"
 #include "nxmap/flow.hpp"
 
@@ -72,6 +77,115 @@ TEST(Flash, ReadChargesCycles) {
   const auto small_read = bank.read(0, small);
   const auto large_read = bank.read(0, large);
   EXPECT_GT(large_read.cycles, small_read.cycles);
+}
+
+// The paged flash store against the flat byte vector it replaced: same
+// bytes, same clipping at the device end, same cycles, same RNG draws.
+struct FlatFlash {
+  std::vector<std::uint8_t> store;
+  FlashTiming timing;
+
+  std::uint8_t peek(std::uint64_t addr) const {
+    return addr < store.size() ? store[addr] : 0xFF;
+  }
+  void program(std::uint64_t addr, std::span<const std::uint8_t> data) {
+    for (std::size_t i = 0; i < data.size(); ++i) {
+      if (addr + i < store.size()) store[addr + i] = data[i];
+    }
+  }
+  std::uint64_t read(std::uint64_t addr, std::span<std::uint8_t> out) const {
+    for (std::size_t i = 0; i < out.size(); ++i) out[i] = peek(addr + i);
+    return timing.setup_cycles + (out.size() + 3) / 4 * timing.cycles_per_word;
+  }
+  void inject_bitflips(std::size_t count, Rng& rng) {
+    for (std::size_t i = 0; i < count; ++i) {
+      const std::uint64_t byte = rng.next_below(store.size());
+      const unsigned bit = static_cast<unsigned>(rng.next_below(8));
+      store[byte] ^= static_cast<std::uint8_t>(1u << bit);
+    }
+  }
+};
+
+TEST(FlashDifferential, PagedStoreMatchesFlatModel) {
+  constexpr std::size_t kBytes = 3 * 4096 + 100;  // last page partial
+  const FlashTiming timing{7, 3};
+  FlashDevice device(kBytes, timing);
+  FlatFlash model{std::vector<std::uint8_t>(kBytes, 0xFF), timing};
+  Rng ops(41);
+  for (int step = 0; step < 600; ++step) {
+    // Addresses reach past the device end so that clipping is exercised.
+    const std::uint64_t addr = ops.next_below(kBytes + 600);
+    const std::size_t length = ops.next_below(5000);
+    switch (ops.next_below(4)) {
+      case 0: {
+        const auto data = pattern_image(length, static_cast<std::uint8_t>(step));
+        device.program(addr, data);
+        model.program(addr, data);
+        break;
+      }
+      case 1: {
+        std::vector<std::uint8_t> got(length, 0), want(length, 0);
+        ASSERT_EQ(device.read(addr, got), model.read(addr, want)) << "step " << step;
+        ASSERT_EQ(got, want) << "step " << step << " addr " << addr;
+        break;
+      }
+      case 2:
+        ASSERT_EQ(device.peek(addr), model.peek(addr)) << "addr " << addr;
+        break;
+      default: {
+        const std::uint64_t seed = ops.next_u64();
+        const std::size_t flips = ops.next_below(40);
+        Rng device_rng(seed), model_rng(seed);
+        device.inject_bitflips(flips, device_rng);
+        model.inject_bitflips(flips, model_rng);
+        ASSERT_EQ(device_rng.next_u64(), model_rng.next_u64());
+        break;
+      }
+    }
+  }
+  std::vector<std::uint8_t> whole(kBytes + 64);
+  std::vector<std::uint8_t> want(kBytes + 64);
+  EXPECT_EQ(device.read(0, whole), model.read(0, want));
+  EXPECT_EQ(whole, want);
+  EXPECT_EQ(device.peek(kBytes), 0xFF);
+  EXPECT_EQ(device.peek(~0ULL), 0xFF);
+}
+
+TEST(FlashDifferential, VotedBankReadMatchesPerByteVote) {
+  constexpr std::size_t kBytes = 2 * 4096 + 36;
+  FlashBank bank(kBytes, 3);
+  std::array<FlatFlash, 3> replicas;
+  for (FlatFlash& replica : replicas) {
+    replica.store.assign(kBytes, 0xFF);
+  }
+  const auto image = pattern_image(kBytes - 500, 0x5D);
+  bank.program(300, image);
+  for (unsigned r = 0; r < 3; ++r) {
+    replicas[r].program(300, image);
+    Rng device_rng(50 + r), model_rng(50 + r);
+    bank.device(r).inject_bitflips(300, device_rng);
+    replicas[r].inject_bitflips(300, model_rng);
+  }
+  Rng ops(51);
+  for (int step = 0; step < 200; ++step) {
+    const std::uint64_t addr = ops.next_below(kBytes + 40);
+    std::vector<std::uint8_t> got(ops.next_below(3000));
+    const FlashBank::ReadResult result = bank.read(addr, got);
+    std::uint64_t want_cycles = 0, want_corrected = 0;
+    std::array<std::vector<std::uint8_t>, 3> copies;
+    for (unsigned r = 0; r < 3; ++r) {
+      copies[r].resize(got.size());
+      want_cycles += replicas[r].read(addr, copies[r]);
+    }
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      const fault::VoteResult vote =
+          fault::vote_bitwise(copies[0][i], copies[1][i], copies[2][i]);
+      ASSERT_EQ(got[i], vote.value) << "addr " << addr << " byte " << i;
+      want_corrected += vote.corrected ? 1 : 0;
+    }
+    ASSERT_EQ(result.cycles, want_cycles);
+    ASSERT_EQ(result.corrected_bytes, want_corrected) << "addr " << addr;
+  }
 }
 
 TEST(SpaceWire, FetchHostedObject) {

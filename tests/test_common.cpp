@@ -1,8 +1,11 @@
 // Unit tests for the common utility layer.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <mutex>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "common/bits.hpp"
@@ -83,6 +86,53 @@ TEST(Sha256, MultiBlockMessage) {
   incremental.update(std::span(data.data(), 77));
   incremental.update(std::span(data.data() + 77, data.size() - 77));
   EXPECT_EQ(incremental.digest(), sha256(data));
+}
+
+TEST(Sha256, FipsVectors) {
+  // FIPS 180-4 / NIST example messages: one block, two blocks, and the
+  // million-'a' message fed in uneven chunks.
+  const std::string two_block =
+      "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq";
+  EXPECT_EQ(to_hex(sha256(std::span(
+                reinterpret_cast<const std::uint8_t*>(two_block.data()),
+                two_block.size()))),
+            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1");
+  const std::string long_block =
+      "abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmnhijklmno"
+      "ijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu";
+  EXPECT_EQ(to_hex(sha256(std::span(
+                reinterpret_cast<const std::uint8_t*>(long_block.data()),
+                long_block.size()))),
+            "cf5b16a778af8380036ce59e7b0492370b249b11e8f07a51afac45037afee9d1");
+  const std::vector<std::uint8_t> a(1'000'000, 'a');
+  Sha256 million;
+  for (std::size_t at = 0, step = 1; at < a.size(); at += step, step = step * 3 % 997 + 1) {
+    million.update(std::span(a).subspan(at, std::min(step, a.size() - at)));
+  }
+  EXPECT_EQ(to_hex(million.digest()),
+            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
+}
+
+TEST(Sha256, SplitAtEveryOffsetMatchesOneShot) {
+  std::vector<std::uint8_t> data(200);
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    data[i] = static_cast<std::uint8_t>(i * 151 + 7);
+  }
+  // Every message length around the padding and block boundaries, split at
+  // every offset; byte-at-a-time feeding only ever uses the buffered path.
+  for (std::size_t length : {0, 1, 55, 56, 63, 64, 65, 119, 120, 127, 128, 200}) {
+    const std::span<const std::uint8_t> message = std::span(data).first(length);
+    const Sha256Digest want = sha256(message);
+    for (std::size_t split = 0; split <= length; ++split) {
+      Sha256 hasher;
+      hasher.update(message.first(split));
+      hasher.update(message.subspan(split));
+      ASSERT_EQ(hasher.digest(), want) << "length " << length << " split " << split;
+    }
+    Sha256 bytewise;
+    for (const std::uint8_t byte : message) bytewise.update(&byte, 1);
+    ASSERT_EQ(bytewise.digest(), want) << "length " << length;
+  }
 }
 
 TEST(Bits, MaskAndTruncate) {

@@ -13,7 +13,10 @@
 #include "apps/kernels.hpp"
 #include "boot/bl.hpp"
 #include "common/fnv.hpp"
+#include "common/rng.hpp"
+#include "fault/injector.hpp"
 #include "hls/flow.hpp"
+#include "nxmap/bitstream.hpp"
 #include "nxmap/flow.hpp"
 #include "svc/service.hpp"
 
@@ -147,6 +150,83 @@ TEST(PinnedArtifacts, BootFormatDigests) {
             0x23d6761bb7e901a9ULL);
   EXPECT_EQ(boot_report_digest(boot::BootSource::kSpaceWire),
             0xf04b698560ada80fULL);
+}
+
+// Pins faulted boots end to end: seeded fault plans over the flash,
+// SpaceWire and eFPGA-programming points, flash radiation on one replica,
+// then two configuration scrub passes. The digest covers each boot's report
+// bytes (cycles, TMR corrections, retries, fallbacks), the decoded eFPGA
+// configuration and every EfpgaStats counter, so a codec, vote, hash or
+// flash-store rewrite that moves one correction or one RNG draw fails here.
+TEST(PinnedArtifacts, FaultedBootDigests) {
+  constexpr std::string_view kPoints[] = {
+      "flash.rot.replica",         "flash.rot.voted",
+      "spw.frame.corrupt",         "spw.frame.drop",
+      "efpga.prog.header.corrupt", "efpga.prog.frame.corrupt",
+      "efpga.prog.frame.drop",     "efpga.config.rot"};
+  auto image = [](std::size_t bytes, std::uint8_t seed) {
+    std::vector<std::uint8_t> out(bytes);
+    for (std::size_t i = 0; i < bytes; ++i) {
+      out[i] = static_cast<std::uint8_t>(seed + i * 13 + (i >> 7));
+    }
+    return out;
+  };
+  std::vector<nx::BitstreamFrame> frames(8);
+  for (std::size_t f = 0; f < frames.size(); ++f) {
+    frames[f].column = static_cast<std::uint32_t>(f);
+    for (std::size_t w = 0; w < 24 + 5 * f; ++w) {
+      frames[f].words.push_back(
+          static_cast<std::uint32_t>((f << 20) ^ (w * 0x9E3779B9u)));
+    }
+  }
+  const std::vector<std::uint8_t> bitstream =
+      nx::pack_raw_bitstream(/*device_id=*/0xB007, frames);
+
+  std::uint64_t digest = fnv::kOffsetBasis;
+  std::uint64_t flash_corrected = 0, scrub_corrected = 0, booted = 0;
+  for (std::uint64_t seed = 1; seed <= 32; ++seed) {
+    fault::FaultInjector injector(fault::make_random_plan(seed, kPoints));
+    boot::BootEnvironment env;
+    env.attach_injector(&injector);
+    boot::LoadList list;
+    list.entries.resize(3);
+    list.entries[0].kind = boot::LoadKind::kBitstream;
+    list.entries[0].name = "fabric";
+    list.entries[1].kind = boot::LoadKind::kSoftware;
+    list.entries[1].name = "payload";
+    list.entries[1].dest_addr = boot::MemoryMap::kDdrBase + 0x10000;
+    list.entries[2].kind = boot::LoadKind::kBl2;
+    list.entries[2].name = "bl2";
+    list.entries[2].dest_addr = boot::MemoryMap::kDdrBase;
+    boot::stage_boot_media(env, image(2048 + 8 * seed, 0x41), list,
+                           {bitstream, image(12288 + 3 * seed, 0x52),
+                            image(3072, 0x63)});
+    Rng rng(seed);
+    env.flash.device(static_cast<unsigned>(seed % 3)).inject_bitflips(256, rng);
+
+    const boot::BootResult result = boot::run_boot_chain(env);
+    for (int pass = 0; pass < 2; ++pass) (void)env.soc.scrub_efpga();
+
+    digest = fnv::mix_bytes(digest, result.report.serialize());
+    digest = fnv::mix_word(digest, static_cast<std::uint64_t>(result.reached));
+    digest = fnv::mix_word(digest, env.soc.efpga_config_digest());
+    const boot::EfpgaStats& stats = env.soc.efpga_stats();
+    for (const std::uint64_t counter :
+         {stats.frames_programmed, stats.frame_crc_mismatches,
+          stats.frame_rewrites, stats.header_rewrites, stats.prog_failures,
+          stats.scrub_passes, stats.scrub_corrected, stats.scrub_uncorrectable,
+          stats.frames_reprogrammed, stats.scrub_silent}) {
+      digest = fnv::mix_word(digest, counter);
+    }
+    digest = fnv::mix_word(digest, injector.total_fires());
+    flash_corrected += result.report.flash_corrected_bytes;
+    scrub_corrected += stats.scrub_corrected;
+    booted += result.status.ok() ? 1 : 0;
+  }
+  EXPECT_EQ(flash_corrected, 157u);
+  EXPECT_EQ(scrub_corrected, 15u);
+  EXPECT_EQ(booted, 25u);
+  EXPECT_EQ(digest, 0x82ee2219c27ee19fULL);
 }
 
 }  // namespace
