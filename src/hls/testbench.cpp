@@ -11,6 +11,31 @@ Result<CosimResult> cosimulate(
     std::uint64_t max_cycles) {
   const ir::Function& function = flow.function;
 
+  // ---- arguments: checked before either model runs ----
+  std::size_t scalar_params = 0;
+  for (const ir::ParamDecl& param : function.params) {
+    if (!param.is_array()) ++scalar_params;
+  }
+  if (scalar_args.size() != scalar_params) {
+    return Status::Error(ErrorCode::kInvalidArgument,
+                         format("%zu scalar arguments for %zu scalar parameters",
+                                scalar_args.size(), scalar_params));
+  }
+  for (const auto& [mem, image] : memory_images) {
+    if (mem >= function.memories().size()) {
+      return Status::Error(ErrorCode::kInvalidArgument,
+                           format("memory image %zu: function has %zu memories",
+                                  mem, function.memories().size()));
+    }
+    // The interpreter re-seeds local and ROM memories on every run, so an
+    // image for one would reach the hardware alone.
+    if (!function.memories()[mem].is_interface) {
+      return Status::Error(ErrorCode::kInvalidArgument,
+                           format("memory image %zu: %s is not an interface memory",
+                                  mem, function.memories()[mem].name.c_str()));
+    }
+  }
+
   // ---- golden run ----
   ir::Interpreter interp(function);
   for (const auto& [mem, image] : memory_images) {
@@ -19,8 +44,10 @@ Result<CosimResult> cosimulate(
   auto golden = interp.run(scalar_args);
   if (!golden.ok()) return golden.status();
 
-  // ---- hardware run ----
-  hw::Simulator sim(flow.fsmd.module);
+  // ---- hardware run: the swept netlist on the JIT (see testbench.hpp) ----
+  hw::Module swept = flow.fsmd.module;
+  hw::sweep_dead_cells(swept);
+  hw::Simulator sim(swept, hw::SimOptions{.backend = hw::SimBackend::kJit});
   if (!sim.status().ok()) return sim.status();
   for (const auto& [mem, image] : memory_images) {
     for (std::size_t i = 0; i < image.size(); ++i) {
@@ -30,7 +57,7 @@ Result<CosimResult> cosimulate(
   std::size_t arg_index = 0;
   for (const ir::ParamDecl& param : function.params) {
     if (param.is_array()) continue;
-    sim.set_input("arg_" + param.name, scalar_args.at(arg_index++));
+    sim.set_input("arg_" + param.name, scalar_args[arg_index++]);
   }
   sim.set_input("start", 1);
   auto cycles = sim.run_until("done", max_cycles);

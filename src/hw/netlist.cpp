@@ -47,6 +47,19 @@ std::size_t Module::add_cell(Cell cell) {
   return cells_.size() - 1;
 }
 
+void Module::erase_cells(const std::vector<bool>& dead) {
+  std::size_t kept = 0;
+  for (std::size_t c = 0; c < cells_.size(); ++c) {
+    if (dead[c]) continue;
+    if (kept != c) cells_[kept] = std::move(cells_[c]);
+    ++kept;
+  }
+  cells_.resize(kept);
+  // Swept netlists outlive the sweep (the compile service caches them), so
+  // they carry no spare capacity.
+  cells_.shrink_to_fit();
+}
+
 WireId Module::make_const(std::uint64_t value, unsigned width, std::string name) {
   const WireId out = add_wire(width, std::move(name));
   Cell cell;
@@ -285,7 +298,6 @@ Status Module::validate() const {
 namespace hermes::hw {
 
 std::size_t sweep_dead_cells(Module& module) {
-  // The Module API is append-only, so the sweep rebuilds the cell list.
   // Wires are left in place (unused wires cost nothing downstream).
   const std::vector<Cell>& cells = module.cells();
   // Uses of each wire: one per output port and per reading input slot.
@@ -338,14 +350,7 @@ std::size_t sweep_dead_cells(Module& module) {
       }
     }
   }
-  if (removed == 0) return 0;
-
-  std::vector<Cell> kept;
-  kept.reserve(cells.size() - removed);
-  for (std::size_t c = 0; c < cells.size(); ++c) {
-    if (!dead[c]) kept.push_back(cells[c]);
-  }
-  module.replace_cells(std::move(kept));
+  if (removed != 0) module.erase_cells(dead);
   return removed;
 }
 

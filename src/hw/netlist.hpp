@@ -136,8 +136,11 @@ class Module {
   /// Raw cell constructor; prefer the typed helpers below.
   std::size_t add_cell(Cell cell);
   [[nodiscard]] const std::vector<Cell>& cells() const { return cells_; }
-  /// Wholesale cell-list replacement (used by netlist sweeps).
+  /// Wholesale cell-list replacement.
   void replace_cells(std::vector<Cell> cells) { cells_ = std::move(cells); }
+  /// Drops every cell whose `dead` flag is set; the others keep their order
+  /// (used by netlist sweeps).
+  void erase_cells(const std::vector<bool>& dead);
 
   // ---- typed builder helpers (each returns the output wire) ----
   WireId make_const(std::uint64_t value, unsigned width, std::string name = {});

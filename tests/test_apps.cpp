@@ -1,11 +1,9 @@
-// Tests for the use-case applications: every HLS kernel is synthesized and
-// co-simulated against the golden model over random inputs; the control
-// workloads (AOCS / VBN / EOR) and the compression pipeline are validated
-// functionally.
+// Tests for the use-case applications: the sobel kernel's edge response is
+// checked against the golden model (the whole catalog is co-simulated in
+// test_cosim.cpp); the control workloads (AOCS / VBN / EOR) and the
+// compression pipeline are validated functionally.
 #include <gtest/gtest.h>
 
-#include <ostream>
-#include <set>
 #include <string>
 
 #include "apps/aocs.hpp"
@@ -17,103 +15,12 @@
 #include "apps/vbn.hpp"
 #include "common/rng.hpp"
 #include "hls/flow.hpp"
-#include "hls/techlib.hpp"
 #include "hls/testbench.hpp"
 
 namespace hermes::apps {
 namespace {
 
-// ---- HLS kernels, parameterized over the whole catalog ----
-
-struct KernelCase {
-  KernelSpec spec;
-  unsigned multipliers = hls::Constraints{}.multipliers;
-  std::string label;  ///< test-name suffix
-};
-
-void PrintTo(const KernelCase& c, std::ostream* os) { *os << c.label; }
-
-class KernelCosim : public ::testing::TestWithParam<KernelCase> {};
-
-TEST_P(KernelCosim, HardwareMatchesGolden) {
-  const KernelSpec& spec = GetParam().spec;
-  hls::FlowOptions options;
-  options.top = spec.name;
-  options.constraints.multipliers = GetParam().multipliers;
-  auto flow = hls::run_flow(spec.source, options);
-  ASSERT_TRUE(flow.ok()) << spec.name << ": " << flow.status().to_string();
-
-  // Binding must never allocate more multipliers than the scheduler was
-  // allowed to use at once. Only exact for designs whose multiplies share
-  // one width: the scheduler limits them together, binding pools by width.
-  std::set<unsigned> mul_widths;
-  const ir::Function& function = flow.value().function;
-  for (ir::BlockId b = 0; b < function.num_blocks(); ++b) {
-    for (const ir::Instr& instr : function.block(b).instrs) {
-      if (hls::fu_class_of(instr.op) == hls::FuClass::kMultiplier) {
-        mul_widths.insert(instr.type.bits);
-      }
-    }
-  }
-  if (mul_widths.size() == 1) {
-    EXPECT_LE(flow.value().binding.stats.multiplier_instances,
-              options.constraints.multipliers);
-  }
-
-  Rng rng(0xC0DE + spec.name.size());
-  // Random contents for every interface memory.
-  std::map<std::size_t, std::vector<std::uint64_t>> images;
-  for (std::size_t m = 0; m < function.memories().size(); ++m) {
-    const ir::MemDecl& mem = function.memories()[m];
-    if (!mem.is_interface) continue;
-    std::vector<std::uint64_t> image(mem.depth);
-    for (auto& word : image) word = rng.next_u64();
-    images[m] = std::move(image);
-  }
-  auto result = cosimulate(flow.value(), {}, images, 10'000'000);
-  ASSERT_TRUE(result.ok()) << spec.name << ": " << result.status().to_string();
-  EXPECT_TRUE(result.value().match) << spec.name << ": "
-                                    << result.value().mismatch;
-  EXPECT_GT(result.value().hw_cycles, 0u);
-}
-
-std::vector<KernelCase> catalog_cases() {
-  std::vector<KernelCase> cases;
-  for (KernelSpec& spec : all_kernels()) {
-    KernelCase c;
-    c.label = spec.name;
-    c.spec = std::move(spec);
-    cases.push_back(std::move(c));
-  }
-  return cases;
-}
-
-// Non-power-of-two sobel widths keep their row-stride multiplies, signed and
-// unsigned side by side; sharing them across the multiplier sweep once
-// miscompiled (two multiplies bound to one unit in the same state).
-std::vector<KernelCase> sobel_width_cases() {
-  std::vector<KernelCase> cases;
-  for (unsigned width = 9; width <= 12; ++width) {
-    for (unsigned multipliers : {1u, 2u, 4u, 8u}) {
-      KernelCase c;
-      c.spec = sobel_kernel(width, 4);
-      c.multipliers = multipliers;
-      c.label = "sobel_w" + std::to_string(width) + "_mul" +
-                std::to_string(multipliers);
-      cases.push_back(std::move(c));
-    }
-  }
-  return cases;
-}
-
-std::string case_label(const ::testing::TestParamInfo<KernelCase>& info) {
-  return info.param.label;
-}
-
-INSTANTIATE_TEST_SUITE_P(Catalog, KernelCosim,
-                         ::testing::ValuesIn(catalog_cases()), case_label);
-INSTANTIATE_TEST_SUITE_P(SobelWidths, KernelCosim,
-                         ::testing::ValuesIn(sobel_width_cases()), case_label);
+// ---- HLS kernels (catalog co-simulation lives in test_cosim.cpp) ----
 
 TEST(Kernels, SobelDetectsEdge) {
   // A vertical step edge must produce strong responses along the boundary.
