@@ -31,7 +31,6 @@ class FsmdBuilder {
     // transitions are known. Reset into IDLE.
     state_d_ = module_.add_wire(state_bits_, "state_next");
     const hw::WireId one = module_.make_const(1, 1, "const1");
-    always_on_ = one;
     state_q_ = module_.make_register(state_d_, one, idle_state_, "state");
 
     build_ports();
@@ -42,6 +41,9 @@ class FsmdBuilder {
     build_memory_ports();
     build_registers();
     build_fsm();
+    // The emitters above build every register, tap and port slot a schedule
+    // could need; keep only what reaches a port or a RAM write (fsmd.hpp).
+    hw::sweep_dead_cells(module_);
 
     Status valid = module_.validate();
     if (!valid.ok()) return valid;
@@ -547,7 +549,7 @@ class FsmdBuilder {
   unsigned num_states_ = 0, idle_state_ = 0, done_state_ = 0;
   unsigned state_bits_ = 1;
   hw::WireId state_q_ = hw::kNoWire, state_d_ = hw::kNoWire;
-  hw::WireId start_ = hw::kNoWire, always_on_ = hw::kNoWire;
+  hw::WireId start_ = hw::kNoWire;
 
   std::map<unsigned, hw::WireId> eq_cache_;
   std::map<ir::RegId, hw::WireId> arg_ports_;

@@ -12,6 +12,13 @@
 // Timing rules match hls/schedule.cpp exactly: a consumer scheduled in its
 // RAW producer's write state taps the producer's combinational result wire
 // (operation chaining); later consumers read the register.
+//
+// The module is live: generation ends with hw::sweep_dead_cells, so every
+// cell reaches an output port or a RAM write (unread registers, their
+// enable trees, unused read ports and argument latches are gone) and no
+// wire dangles. It is the netlist the Verilog, the digest, cosim, SEU
+// campaigns and the backend all see; the backend's own sweep removes
+// nothing from it.
 #pragma once
 
 #include "common/status.hpp"

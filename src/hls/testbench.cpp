@@ -34,6 +34,14 @@ Result<CosimResult> cosimulate(
                            format("memory image %zu: %s is not an interface memory",
                                   mem, function.memories()[mem].name.c_str()));
     }
+    // Both models would drop the words past the end and still agree.
+    if (image.size() > function.memories()[mem].depth) {
+      return Status::Error(
+          ErrorCode::kInvalidArgument,
+          format("memory image %zu: %zu words for %s of depth %zu", mem,
+                 image.size(), function.memories()[mem].name.c_str(),
+                 function.memories()[mem].depth));
+    }
   }
 
   // ---- golden run ----
@@ -44,10 +52,9 @@ Result<CosimResult> cosimulate(
   auto golden = interp.run(scalar_args);
   if (!golden.ok()) return golden.status();
 
-  // ---- hardware run: the swept netlist on the JIT (see testbench.hpp) ----
-  hw::Module swept = flow.fsmd.module;
-  hw::sweep_dead_cells(swept);
-  hw::Simulator sim(swept, hw::SimOptions{.backend = hw::SimBackend::kJit});
+  // ---- hardware run: the FSMD on the JIT (see testbench.hpp) ----
+  hw::Simulator sim(flow.fsmd.module,
+                    hw::SimOptions{.backend = hw::SimBackend::kJit});
   if (!sim.status().ok()) return sim.status();
   for (const auto& [mem, image] : memory_images) {
     for (std::size_t i = 0; i < image.size(); ++i) {

@@ -9,13 +9,12 @@
 // the accelerator's cycle count.
 //
 // Like the Verilator run of the paper's flow, the hardware side executes
-// compiled native code: a hw::sweep_dead_cells copy of the FSMD on
-// hw::SimBackend::kJit. The swept netlist keeps every port, memory and RAM
-// write, and it is the netlist the backend packs into the bitstream, so
-// cosim checks what ships while the JIT compiles and evaluates only the
-// live cells. JIT compile cost is paid back on every catalog kernel; where
-// native code cannot run the simulator falls back to the event engine with
-// bit-identical results. The event engine on the unswept FSMD stays the
+// compiled native code: the FSMD itself on hw::SimBackend::kJit. Every FSMD
+// cell reaches a port or a RAM write and no wire dangles (hls/fsmd.hpp), so
+// cosim checks exactly the netlist the backend packs into the bitstream.
+// JIT compile cost is paid back on every catalog kernel; where native code
+// cannot run the simulator falls back to the event engine with
+// bit-identical results. The event engine on the same FSMD stays the
 // differential oracle (tests/test_cosim.cpp).
 #pragma once
 
@@ -41,7 +40,8 @@ struct CosimResult {
 /// `memory_images` keyed by IR memory index for interface memories.
 /// kInvalidArgument, before either model runs, when the scalar count differs
 /// from the function's scalar parameters or an image names a memory that
-/// does not exist or is not an interface memory.
+/// does not exist, is not an interface memory, or is shallower than the
+/// image.
 Result<CosimResult> cosimulate(
     const FlowResult& flow, const std::vector<std::uint64_t>& scalar_args,
     const std::map<std::size_t, std::vector<std::uint64_t>>& memory_images,

@@ -60,6 +60,36 @@ void Module::erase_cells(const std::vector<bool>& dead) {
   cells_.shrink_to_fit();
 }
 
+void Module::erase_unreferenced_wires() {
+  std::vector<bool> referenced(wire_widths_.size(), false);
+  for (const Port& port : ports_) referenced[port.wire] = true;
+  for (const Cell& cell : cells_) {
+    for (WireId wire : cell.inputs) referenced[wire] = true;
+    for (WireId wire : cell.outputs) referenced[wire] = true;
+  }
+  std::vector<WireId> renumbered(wire_widths_.size(), kNoWire);
+  WireId kept = 0;
+  for (WireId wire = 0; wire < wire_widths_.size(); ++wire) {
+    if (!referenced[wire]) continue;
+    renumbered[wire] = kept;
+    if (kept != wire) {
+      wire_widths_[kept] = wire_widths_[wire];
+      wire_names_[kept] = std::move(wire_names_[wire]);
+    }
+    ++kept;
+  }
+  if (kept == wire_widths_.size()) return;
+  wire_widths_.resize(kept);
+  wire_names_.resize(kept);
+  wire_widths_.shrink_to_fit();
+  wire_names_.shrink_to_fit();
+  for (Port& port : ports_) port.wire = renumbered[port.wire];
+  for (Cell& cell : cells_) {
+    for (WireId& wire : cell.inputs) wire = renumbered[wire];
+    for (WireId& wire : cell.outputs) wire = renumbered[wire];
+  }
+}
+
 WireId Module::make_const(std::uint64_t value, unsigned width, std::string name) {
   const WireId out = add_wire(width, std::move(name));
   Cell cell;
@@ -298,7 +328,6 @@ Status Module::validate() const {
 namespace hermes::hw {
 
 std::size_t sweep_dead_cells(Module& module) {
-  // Wires are left in place (unused wires cost nothing downstream).
   const std::vector<Cell>& cells = module.cells();
   // Uses of each wire: one per output port and per reading input slot.
   std::vector<std::uint32_t> uses(module.wire_count(), 0);
@@ -351,6 +380,7 @@ std::size_t sweep_dead_cells(Module& module) {
     }
   }
   if (removed != 0) module.erase_cells(dead);
+  module.erase_unreferenced_wires();
   return removed;
 }
 

@@ -68,7 +68,10 @@ class Module;
 /// gives the fixed point of repeated single sweeps: same cells removed, kept
 /// cells in their original order. RAM writes are effectful and always kept;
 /// registers and combinational cells are swept, except on a cycle that
-/// keeps itself used. Returns the number of cells removed.
+/// keeps itself used. Then every wire that no kept cell and no port
+/// references is dropped, and the survivors are renumbered in their
+/// original order, so a swept netlist has no dangling wire and sweeping it
+/// again changes nothing. Returns the number of cells removed.
 std::size_t sweep_dead_cells(Module& module);
 
 struct Cell {
@@ -141,6 +144,10 @@ class Module {
   /// Drops every cell whose `dead` flag is set; the others keep their order
   /// (used by netlist sweeps).
   void erase_cells(const std::vector<bool>& dead);
+  /// Drops every wire that no cell and no port references and renumbers the
+  /// others in their original order, rewriting cell and port references
+  /// (used by netlist sweeps).
+  void erase_unreferenced_wires();
 
   // ---- typed builder helpers (each returns the output wire) ----
   WireId make_const(std::uint64_t value, unsigned width, std::string name = {});

@@ -11,7 +11,9 @@ Result<MapResult> run_backend_map(const hw::Module& module,
                                   const BackendOptions& options) {
   MapResult result;
   // Logic-synthesis cleanup: drop logic that drives nothing before paying
-  // for it in mapping, placement and routing.
+  // for it in mapping, placement and routing. HLS output is already swept
+  // (hls/fsmd.hpp), so this only trims netlists built elsewhere, such as
+  // TMR-hardened ones.
   result.synthesized = module;
   hw::sweep_dead_cells(result.synthesized);
 

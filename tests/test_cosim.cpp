@@ -1,8 +1,8 @@
 // Co-simulation tests. Every catalog kernel's accelerator is checked against
 // the golden model over random inputs; cosim's hardware side (the JIT on the
-// dead-cell-swept FSMD) is checked against the event engine on the unswept
-// FSMD, with the JIT engaged and with it forced off; and cosim's argument
-// checks are exercised one bad argument at a time.
+// FSMD) is checked against the event engine on the same FSMD, with the JIT
+// engaged and with it forced off; and cosim's argument checks are exercised
+// one bad argument at a time.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -133,7 +133,7 @@ INSTANTIATE_TEST_SUITE_P(Catalog, KernelCosim,
 INSTANTIATE_TEST_SUITE_P(SobelWidths, KernelCosim,
                          ::testing::ValuesIn(sobel_width_cases()), case_label);
 
-// ---- cosim's engine against the event engine on the unswept FSMD ----
+// ---- cosim's engine against the event engine ----
 
 /// The catalog × multipliers {1, 2, 4} × clocks {6.25, 8, 10, 12.5} ns, plus
 /// the non-power-of-two sobel widths.
@@ -164,8 +164,8 @@ struct HardwareRun {
   MemoryImages interface_memories;  ///< final contents, by IR memory index
 };
 
-/// The event engine on the unswept FSMD, driven as cosimulate drives its
-/// netlist: interface images preloaded, start raised, run to done.
+/// The event engine on the FSMD, driven as cosimulate drives it: interface
+/// images preloaded, start raised, run to done.
 Result<HardwareRun> run_event_engine(const hls::FlowResult& flow,
                                      const MemoryImages& images) {
   hw::Simulator sim(flow.fsmd.module);  // default engine: kEvent
@@ -226,6 +226,8 @@ class JitDisabled {
 
 class CosimDifferential : public ::testing::TestWithParam<KernelCase> {};
 
+// The name keeps the test ids stable: generate_fsmd already sweeps, so this
+// is cosim's JIT against the event engine on one and the same FSMD.
 TEST_P(CosimDifferential, MatchesEventEngineOnUnsweptFsmd) {
   auto flow = compile(GetParam());
   ASSERT_TRUE(flow.ok()) << flow.status().to_string();
@@ -332,6 +334,15 @@ TEST(CosimArguments, RejectsImageForLocalMemory) {
   const hls::FlowResult flow = compile_lookup();
   const std::size_t table = memory_index(flow.function, false);
   auto result = hls::cosimulate(flow, {2}, {{table, {99, 99, 99, 99}}});
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), ErrorCode::kInvalidArgument);
+}
+
+TEST(CosimArguments, RejectsImageLongerThanMemory) {
+  // Both models would drop the fifth word and still agree.
+  const hls::FlowResult flow = compile_lookup();
+  const std::size_t offsets = memory_index(flow.function, true);
+  auto result = hls::cosimulate(flow, {2}, {{offsets, {1, 2, 3, 4, 5}}});
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), ErrorCode::kInvalidArgument);
 }

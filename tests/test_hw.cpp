@@ -425,6 +425,42 @@ TEST(SweepDeadCells, RemovesUnusedLogicTransitively) {
   EXPECT_EQ(sim.get_output("out"), 42u);
 }
 
+TEST(SweepDeadCells, DropsDanglingWiresAndKeepsOrder) {
+  Module m("wires");
+  const WireId a = m.add_wire(8, "a");
+  m.add_input(a, "a");
+  m.add_wire(3, "never_used");
+  const WireId unused_in = m.add_wire(4, "unused_in");
+  m.add_input(unused_in, "unused_in");  // ports keep their wires
+  const WireId dead = m.make_not(a, "dead");
+  m.make_binop(CellKind::kAnd, dead, a, 8, "dead_tail");
+  const WireId live = m.make_not(a, "live");
+  m.add_output(live, "out");
+
+  EXPECT_EQ(sweep_dead_cells(m), 2u);
+  ASSERT_EQ(m.wire_count(), 3u);
+  EXPECT_EQ(m.wire_name(0), "a");
+  EXPECT_EQ(m.wire_name(1), "unused_in");
+  EXPECT_EQ(m.wire_name(2), "live");
+  EXPECT_EQ(m.wire_width(1), 4u);
+  EXPECT_EQ(m.port_wire("unused_in"), 1u);
+  EXPECT_EQ(m.port_wire("out"), 2u);
+  ASSERT_EQ(m.cells().size(), 1u);
+  EXPECT_EQ(m.cells()[0].inputs, std::vector<WireId>{0});
+  EXPECT_EQ(m.cells()[0].outputs, std::vector<WireId>{2});
+  EXPECT_TRUE(m.validate().ok());
+
+  const std::uint64_t digest = m.digest();
+  EXPECT_EQ(sweep_dead_cells(m), 0u);
+  EXPECT_EQ(m.digest(), digest) << "a swept netlist is a fixed point";
+
+  Simulator sim(m);
+  ASSERT_TRUE(sim.status().ok());
+  sim.set_input("a", 0x0F);
+  sim.eval_comb();
+  EXPECT_EQ(sim.get_output("out"), 0xF0u);
+}
+
 TEST(SweepDeadCells, KeepsRamWritesAndTheirCone) {
   Module m("ramkeep");
   Memory mem;
@@ -452,8 +488,42 @@ TEST(SweepDeadCells, NoOpOnFullyLiveNetlist) {
   EXPECT_EQ(sweep_dead_cells(m), 0u);
 }
 
+/// Rebuilds `module` with only the wires a cell or a port references, in
+/// their original order.
+void reference_compact_wires(Module& module) {
+  std::vector<bool> referenced(module.wire_count(), false);
+  for (const Port& port : module.ports()) referenced[port.wire] = true;
+  for (const Cell& cell : module.cells()) {
+    for (WireId wire : cell.inputs) referenced[wire] = true;
+    for (WireId wire : cell.outputs) referenced[wire] = true;
+  }
+  Module compact(module.name());
+  std::vector<WireId> renumbered(module.wire_count(), kNoWire);
+  for (WireId wire = 0; wire < module.wire_count(); ++wire) {
+    if (referenced[wire]) {
+      renumbered[wire] =
+          compact.add_wire(module.wire_width(wire), module.wire_name(wire));
+    }
+  }
+  for (const Port& port : module.ports()) {
+    if (port.is_input) {
+      compact.add_input(renumbered[port.wire], port.name);
+    } else {
+      compact.add_output(renumbered[port.wire], port.name);
+    }
+  }
+  for (const Memory& memory : module.memories()) compact.add_memory(memory);
+  for (Cell cell : module.cells()) {
+    for (WireId& wire : cell.inputs) wire = renumbered[wire];
+    for (WireId& wire : cell.outputs) wire = renumbered[wire];
+    compact.add_cell(std::move(cell));
+  }
+  module = std::move(compact);
+}
+
 // The sweep as it was before the worklist pass: whole-netlist passes, each
-// removing every cell nothing reads, until a pass removes none.
+// removing every cell nothing reads, until a pass removes none; then the
+// wires nothing references are dropped.
 std::size_t reference_sweep(Module& module) {
   std::size_t removed_total = 0;
   while (true) {
@@ -481,6 +551,7 @@ std::size_t reference_sweep(Module& module) {
     removed_total += removed;
     module.replace_cells(std::move(kept));
   }
+  reference_compact_wires(module);
   return removed_total;
 }
 
@@ -514,8 +585,9 @@ void add_dead_structures(Rng& rng, Module& m) {
   m.add_cell(std::move(reg));
 }
 
-/// Sweeps a copy of `module` both ways, expects the same removed count and
-/// the same kept cells in the same order, and returns the swept copy.
+/// Sweeps a copy of `module` both ways, expects the same removed count, the
+/// same kept cells in the same order and the same wire table, and returns
+/// the swept copy.
 Module expect_sweep_matches_reference(const Module& module,
                                       const std::string& label) {
   Module got = module;
@@ -523,6 +595,7 @@ Module expect_sweep_matches_reference(const Module& module,
   EXPECT_EQ(sweep_dead_cells(got), reference_sweep(want)) << label;
   EXPECT_EQ(got.digest(), want.digest()) << label;
   EXPECT_EQ(got.cells().size(), want.cells().size()) << label;
+  EXPECT_EQ(got.wire_count(), want.wire_count()) << label;
   for (std::size_t c = 0; c < std::min(got.cells().size(), want.cells().size()); ++c) {
     EXPECT_EQ(got.cells()[c].name, want.cells()[c].name) << label << " cell " << c;
   }
@@ -556,14 +629,15 @@ TEST(SweepDeadCells, MatchesFixpointReference) {
   }
 }
 
-TEST(SweepDeadCells, HlsOutputShrinksButStaysCorrect) {
+TEST(SweepDeadCells, HlsOutputIsAlreadyLiveAndCorrect) {
   hls::FlowOptions options;
   options.top = "f";
   auto flow = hls::run_flow(
       "int f(int a, int b) { return a * 2 + b / 3; }", options);
   ASSERT_TRUE(flow.ok());
   hw::Module module = flow.value().fsmd.module;  // copy to mutate
-  sweep_dead_cells(module);
+  EXPECT_EQ(sweep_dead_cells(module), 0u);
+  EXPECT_EQ(module.digest(), flow.value().fsmd.module.digest());
   EXPECT_TRUE(module.validate().ok());
   Simulator sim(module);
   ASSERT_TRUE(sim.status().ok());

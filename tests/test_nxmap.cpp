@@ -296,8 +296,7 @@ TEST(Place, MatchesFullRecomputeOracle) {
     flow_options.top = kernel.name;
     auto flow = hls::run_flow(kernel.source, flow_options);
     ASSERT_TRUE(flow.ok()) << kernel.name;
-    hw::Module module = flow.value().fsmd.module;
-    hw::sweep_dead_cells(module);  // as run_backend_map places it
+    const hw::Module& module = flow.value().fsmd.module;
     for (const PlaceOptions& options : grid) {
       expect_matches_reference(module, device, options, kernel.name);
     }
@@ -425,6 +424,51 @@ TEST(Backend, FullFlowOnHlsOutput) {
   const std::string report = backend_report(backend.value(), device);
   EXPECT_NE(report.find("utilization"), std::string::npos);
   EXPECT_NE(report.find("Fmax"), std::string::npos);
+}
+
+// ---- one live netlist from HLS to bitstream ----
+
+// Census: the catalog × multipliers {1, 2, 4, 8} × clocks {6.25, 8, 10,
+// 12.5} ns × register merging on and off, 160 points.
+TEST(LiveNetlist, GeneratedFsmdHasNothingToSweep) {
+  for (const apps::KernelSpec& kernel : apps::all_kernels()) {
+    for (unsigned multipliers : {1u, 2u, 4u, 8u}) {
+      for (double period : {6.25, 8.0, 10.0, 12.5}) {
+        for (bool merge : {true, false}) {
+          hls::FlowOptions options;
+          options.top = kernel.name;
+          options.constraints.multipliers = multipliers;
+          options.constraints.clock_period_ns = period;
+          options.constraints.merge_registers = merge;
+          const std::string label = kernel.name + " mul" +
+                                    std::to_string(multipliers) + " " +
+                                    std::to_string(period) + "ns merge " +
+                                    std::to_string(merge);
+          auto flow = hls::run_flow(kernel.source, options);
+          ASSERT_TRUE(flow.ok()) << label << ": " << flow.status().to_string();
+          const hw::Module& fsmd = flow.value().fsmd.module;
+          hw::Module swept = fsmd;
+          EXPECT_EQ(hw::sweep_dead_cells(swept), 0u) << label;
+          EXPECT_EQ(swept.wire_count(), fsmd.wire_count()) << label;
+        }
+      }
+    }
+  }
+}
+
+TEST(LiveNetlist, BackendSynthesizesTheFsmdUnchanged) {
+  const NxDevice device = make_device(hls::ng_ultra());
+  for (const apps::KernelSpec& kernel : apps::all_kernels()) {
+    hls::FlowOptions options;
+    options.top = kernel.name;
+    auto flow = hls::run_flow(kernel.source, options);
+    ASSERT_TRUE(flow.ok()) << kernel.name;
+    auto mapped = run_backend_map(flow.value().fsmd.module, device);
+    ASSERT_TRUE(mapped.ok()) << kernel.name;
+    EXPECT_EQ(mapped.value().synthesized.digest(),
+              flow.value().fsmd.module.digest())
+        << kernel.name;
+  }
 }
 
 TEST(ClaimSpeedPower, NgUltraVsLegacyRadHard) {

@@ -25,11 +25,11 @@ namespace {
 
 TEST(PinnedArtifacts, CatalogNetlistDigests) {
   const std::vector<std::pair<std::string, std::uint64_t>> expected = {
-      {"sobel", 0xd159f69367857671ULL},
-      {"fir", 0xe5c9dbd1877ee8deULL},
-      {"dense_relu", 0x9a8e35b3dc107f9bULL},
-      {"matmul", 0x5487c1d691d0cc4aULL},
-      {"histogram", 0x2432ef6d97f660b7ULL},
+      {"sobel", 0x68a97a6774a6ce02ULL},
+      {"fir", 0x4357a30ea46b6217ULL},
+      {"dense_relu", 0xc342da6e149effb9ULL},
+      {"matmul", 0x1fce7eab60c0142bULL},
+      {"histogram", 0x915402a21fde9007ULL},
   };
   const std::vector<apps::KernelSpec> kernels = apps::all_kernels();
   ASSERT_EQ(kernels.size(), expected.size());
@@ -90,8 +90,8 @@ TEST(PinnedArtifacts, ServiceStageKeys) {
   const std::uint64_t expected[] = {
       0x38ee0fe052376defULL,  // characterize
       0xdafb6c8a3f87b991ULL,  // schedule
-      0xa6f87c06dfb61379ULL,  // map
-      0xca2e380cc8e1ff0bULL,  // bitstream
+      0xaf2a5d9527dc817dULL,  // map
+      0xbd15b7cb42b417d2ULL,  // bitstream
   };
   const std::vector<svc::StageTrace>& stages = outcomes[0].stages;
   ASSERT_EQ(stages.size(), std::size(expected));
