@@ -1,10 +1,26 @@
 // Placement (paper Fig. 3: "place").
 //
-// Simulated-annealing placement of mapped instances onto the logic tile
+// Simulated-annealing placement of the fabric instances onto the logic tile
 // grid, minimizing half-perimeter wirelength with a quadratic penalty on
-// tile capacity overflow. Random start, then fixed rounds of single-instance
-// moves to a uniformly drawn tile under a geometric cooling schedule.
-// Deterministic for a fixed seed.
+// tile capacity overflow. Deterministic for a fixed seed.
+//
+// Only what occupies the fabric is placed: every cell instance except the
+// wiring cells (const/zext/sext/slice/concat, which have no resources and no
+// delay), plus the BRAM memory instances. Wiring is folded into the nets it
+// connects: each output wire of a fabric cell is one net holding its driver
+// and every fabric consumer it reaches, directly or through chains of wiring
+// cells, one pin per consuming input slot. A const-driven chain is a tie-off
+// and gets no net; neither does a port-driven wire. Wiring instances have
+// area 0 and do not count toward the region size. After annealing, each
+// takes the tile of the fabric cell at the root of its first driven input,
+// else that of its first fabric consumer, else (0, 0), so `location` covers
+// every mapped instance.
+//
+// Random start, then rounds of single-instance moves under a geometric
+// cooling schedule. Moves are range-limited (Betz & Rose, VPR): a move goes
+// to a tile within `rlim` of the instance's tile, clipped to the region;
+// `rlim` starts at the region side and after each round is scaled by
+// 1 - 0.44 + the round's acceptance rate, clamped to [1, side].
 //
 // Cost evaluation is incremental. Each net caches its HPWL; a move rescans
 // only the distinct nets on the moved instance, once each at the new
@@ -26,16 +42,18 @@
 namespace hermes::nx {
 
 struct PlaceOptions {
-  unsigned iterations_per_instance = 64;  ///< SA moves ~ N * this
+  /// Annealing rounds. A round makes one move per fabric instance (at least
+  /// 16), so moves ~ fabric instances * this.
+  unsigned iterations_per_instance = 40;
   double initial_temp = 10.0;
-  double cooling = 0.92;
+  double cooling = 0.875;  ///< temperature factor per round
   std::uint64_t seed = 7;
 };
 
 struct Placement {
-  /// Tile (x, y) of each mapped instance.
+  /// Tile (x, y) of each mapped instance, wiring instances included.
   std::vector<std::pair<unsigned, unsigned>> location;
-  double hpwl = 0.0;          ///< final half-perimeter wirelength (tiles)
+  double hpwl = 0.0;          ///< final half-perimeter wirelength over the folded nets (tiles)
   double overflow = 0.0;      ///< residual capacity overflow (0 = legal)
   unsigned grid_side = 0;     ///< placement region actually used
 };

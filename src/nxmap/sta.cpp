@@ -115,12 +115,14 @@ Result<TimingReport> analyze_timing(const hw::Module& module,
     const hw::Cell& cell = cells[cursor];
     report.critical_path.push_back(
         cell.name.empty() ? hw::to_string(cell.kind) : cell.name);
-    // Step to the input with the latest arrival.
+    // Step to the input that sets the cell's input arrival: the latest
+    // arrival plus routed delay, the quantity the forward pass maximizes.
     std::size_t next = SIZE_MAX;
     double best = -1.0;
     for (hw::WireId wire : cell.inputs) {
-      if (arrival[wire] > best) {
-        best = arrival[wire];
+      const double at = arrival[wire] + routing.wire_delay_ns[wire];
+      if (at > best) {
+        best = at;
         next = critical_pred_cell[wire];
       }
     }
