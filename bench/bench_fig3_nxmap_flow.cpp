@@ -98,7 +98,7 @@ void BM_RouterComparison(benchmark::State& state) {
   const nx::NxDevice device = nx::make_device(hls::ng_ultra());
   nx::BackendOptions backend_options;
   backend_options.detailed_router = detailed;
-  backend_options.detailed.max_iterations = 64;
+  backend_options.route.max_iterations = 64;
   nx::BackendResult result;
   for (auto _ : state) {
     auto backend = nx::run_backend(flow.value().fsmd.module, device,

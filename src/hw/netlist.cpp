@@ -13,6 +13,12 @@ bool is_sequential(CellKind kind) {
          kind == CellKind::kRamWrite;
 }
 
+bool is_wiring(CellKind kind) {
+  return kind == CellKind::kConst || kind == CellKind::kZext ||
+         kind == CellKind::kSext || kind == CellKind::kSlice ||
+         kind == CellKind::kConcat;
+}
+
 WireId Module::add_wire(unsigned width, std::string name) {
   assert(width >= 1 && width <= 64);
   const WireId id = static_cast<WireId>(wire_widths_.size());

@@ -60,6 +60,10 @@ HERMES_ENUM(CellKind, std::uint8_t, HERMES_CELL_KINDS)
 /// True for cells whose outputs change only on the clock edge.
 bool is_sequential(CellKind kind);
 
+/// True for pure wiring (const/zext/sext/slice/concat): cells that only
+/// rename, tie off or regroup bits, with no logic and no delay.
+bool is_wiring(CellKind kind);
+
 class Module;
 
 /// Removes cells whose outputs drive nothing (no cell input, no output

@@ -1,16 +1,19 @@
 #include "nxmap/detailed_route.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <queue>
+
+#include "nxmap/nets.hpp"
 
 namespace hermes::nx {
 namespace {
 
-/// One net: the driver tile, every sink tile, and the demand it puts on a
-/// tile it crosses (its bit width).
+constexpr double kPresentFactor = 0.6;   ///< penalty slope for current overuse
+constexpr double kHistoryFactor = 0.35;  ///< accumulated-congestion pressure
+
+/// One folded net as embedded: the driver tile, every other pin tile, and
+/// the demand it puts on a tile it crosses (the root wire's width).
 struct Net {
-  hw::WireId wire;
   std::size_t driver_node;
   std::vector<std::size_t> sink_nodes;
   double bits;
@@ -30,7 +33,7 @@ DetailedRouteResult detailed_route(const hw::Module& module,
                                    const MappedDesign& design,
                                    const Placement& placement,
                                    const NxDevice& device,
-                                   const DetailedRouteOptions& options) {
+                                   const RouteOptions& options) {
   DetailedRouteResult result;
   result.routing.wire_delay_ns.assign(module.wire_count(), 0.0);
 
@@ -41,29 +44,19 @@ DetailedRouteResult detailed_route(const hw::Module& module,
     return static_cast<std::size_t>(y) * side + x;
   };
 
-  // Build nets: driver instance + consumer instances per wire.
-  std::vector<Net> nets;
-  {
-    std::vector<int> net_of_wire(module.wire_count(), -1);
-    for (std::size_t c = 0; c < module.cells().size(); ++c) {
-      for (hw::WireId wire : module.cells()[c].inputs) {
-        const std::size_t driver = design.driver_of_wire[wire];
-        if (driver == SIZE_MAX) continue;
-        if (net_of_wire[wire] < 0) {
-          Net net;
-          net.wire = wire;
-          net.driver_node = node_of(driver);
-          net.bits = module.wire_width(wire);
-          nets.push_back(std::move(net));
-          net_of_wire[wire] = static_cast<int>(nets.size() - 1);
-        }
-        const std::size_t sink = node_of(c);
-        Net& net = nets[net_of_wire[wire]];
-        if (sink != net.driver_node &&
-            std::find(net.sink_nodes.begin(), net.sink_nodes.end(), sink) ==
-                net.sink_nodes.end()) {
-          net.sink_nodes.push_back(sink);
-        }
+  // One routing net per folded net, on the tiles of its pins.
+  const FoldedNets folded = fold_nets(module, design);
+  std::vector<Net> nets(folded.size());
+  for (std::size_t j = 0; j < folded.size(); ++j) {
+    Net& net = nets[j];
+    net.driver_node = node_of(folded.pins[folded.start[j]]);
+    net.bits = module.wire_width(folded.root[j]);
+    for (std::uint32_t p = folded.start[j] + 1; p < folded.start[j + 1]; ++p) {
+      const std::size_t sink = node_of(folded.pins[p]);
+      if (sink != net.driver_node &&
+          std::find(net.sink_nodes.begin(), net.sink_nodes.end(), sink) ==
+              net.sink_nodes.end()) {
+        net.sink_nodes.push_back(sink);
       }
     }
   }
@@ -74,9 +67,8 @@ DetailedRouteResult detailed_route(const hw::Module& module,
 
   auto node_cost = [&](std::size_t node) {
     const double over = usage[node] + 1.0 - capacity;
-    const double present =
-        over > 0 ? 1.0 + options.present_factor * over : 1.0;
-    return present + options.history_factor * history[node];
+    const double present = over > 0 ? 1.0 + kPresentFactor * over : 1.0;
+    return present + kHistoryFactor * history[node];
   };
 
   // Route one net as a Steiner tree: grow from the current tree to each
@@ -176,23 +168,12 @@ DetailedRouteResult detailed_route(const hw::Module& module,
   result.converged = converged;
 
   // Delays and metrics from the final trees.
-  double peak = 0.0;
-  std::size_t congested = 0;
-  for (std::size_t node = 0; node < nodes; ++node) {
-    peak = std::max(peak, usage[node] / capacity);
-    if (usage[node] > capacity) ++congested;
-  }
-  result.routing.max_congestion = peak;
-  result.routing.congested_tiles_pct =
-      nodes ? 100.0 * static_cast<double>(congested) / static_cast<double>(nodes)
-            : 0.0;
-
-  for (const Net& net : nets) {
-    result.total_tree_nodes += net.tree.size();
-    const double hops =
-        net.tree.empty() ? 0.0 : static_cast<double>(net.tree.size() - 1);
+  summarize_congestion(usage, capacity, result.routing);
+  for (std::size_t j = 0; j < nets.size(); ++j) {
+    const std::vector<std::size_t>& tree = nets[j].tree;
+    const double hops = tree.empty() ? 0.0 : static_cast<double>(tree.size() - 1);
     result.routing.total_wirelength += hops;
-    result.routing.wire_delay_ns[net.wire] =
+    result.routing.wire_delay_ns[folded.root[j]] =
         device.target.routing_delay_ns * (0.5 + 0.25 * hops);
   }
   return result;

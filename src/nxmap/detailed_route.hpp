@@ -1,38 +1,30 @@
 // Detailed global routing — PathFinder-style negotiated congestion.
 //
-// The estimator in route.hpp prices nets by bounding box; this router
-// actually embeds every net into the routing grid: each net becomes a Steiner
-// tree over tile nodes, built sink-by-sink with Dijkstra searches whose node
-// costs rise with present overuse and accumulated history (the classic
-// PathFinder negotiation), iterating rip-up-and-reroute until no tile's
-// channel capacity is exceeded. The result slots into the same Routing
-// structure, so STA and reports work identically on estimated or routed
-// delays.
+// The estimator in route.hpp prices the placer's folded nets
+// (nxmap/nets.hpp) by bounding box; this router embeds the same nets into
+// the routing grid: each becomes a Steiner tree over tile nodes, built
+// sink-by-sink with Dijkstra searches whose node costs rise with present
+// overuse and accumulated history (the classic PathFinder negotiation),
+// iterating rip-up-and-reroute until no tile's channel capacity is exceeded
+// or `RouteOptions::max_iterations` rounds have run. The result is the
+// estimator's Routing, so STA and reports read either router alike.
 #pragma once
 
 #include "nxmap/route.hpp"
 
 namespace hermes::nx {
 
-struct DetailedRouteOptions {
-  double channel_capacity = 160.0;  ///< wire-bits one tile's channels carry
-  unsigned max_iterations = 24;
-  double present_factor = 0.6;      ///< penalty slope for current overuse
-  double history_factor = 0.35;     ///< accumulated-congestion pressure
-};
-
 struct DetailedRouteResult {
   Routing routing;            ///< same consumer interface as the estimator
   unsigned iterations = 0;    ///< negotiation rounds used
   bool converged = false;     ///< no overused tile at exit
   std::size_t overused_tiles = 0;
-  std::size_t total_tree_nodes = 0;  ///< routed wirelength in tile-nodes
 };
 
 DetailedRouteResult detailed_route(const hw::Module& module,
                                    const MappedDesign& design,
                                    const Placement& placement,
                                    const NxDevice& device,
-                                   const DetailedRouteOptions& options = {});
+                                   const RouteOptions& options = {});
 
 }  // namespace hermes::nx

@@ -26,7 +26,7 @@ Result<MapResult> run_backend_map(const hw::Module& module,
   if (options.detailed_router) {
     DetailedRouteResult detailed =
         detailed_route(result.synthesized, result.mapped, result.placement,
-                       device, options.detailed);
+                       device, options.route);
     result.routing = std::move(detailed.routing);
     result.route_iterations = detailed.iterations;
     result.route_converged = detailed.converged;

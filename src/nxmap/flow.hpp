@@ -24,11 +24,10 @@ namespace hermes::nx {
 struct BackendOptions {
   double target_period_ns = 0.0;  ///< 0 = report-only STA
   PlaceOptions place;
-  RouteOptions route;
+  RouteOptions route;  ///< read by whichever router runs
   /// true: PathFinder negotiated-congestion routing (slower, real embeddings);
   /// false: bounding-box estimator.
   bool detailed_router = false;
-  DetailedRouteOptions detailed;
 };
 
 /// Map/place/route/STA/power — everything except bitstream packing. The

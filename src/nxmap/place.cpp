@@ -4,151 +4,10 @@
 #include <cmath>
 #include <cstdint>
 
+#include "nxmap/nets.hpp"
+
 namespace hermes::nx {
 namespace {
-
-constexpr std::uint32_t kNone = UINT32_MAX;
-
-bool is_wiring(hw::CellKind kind) {
-  switch (kind) {
-    case hw::CellKind::kConst:
-    case hw::CellKind::kZext:
-    case hw::CellKind::kSext:
-    case hw::CellKind::kSlice:
-    case hw::CellKind::kConcat:
-      return true;
-    default:
-      return false;
-  }
-}
-
-/// Input slots reading each wire, in CSR form: the cells reading wire `w` are
-/// `cells[first[w]] .. cells[first[w + 1] - 1]`, one entry per input slot.
-struct WireReaders {
-  std::vector<std::uint32_t> first;
-  std::vector<std::uint32_t> cells;
-};
-
-WireReaders wire_readers(const hw::Module& module) {
-  WireReaders readers;
-  readers.first.assign(module.wire_count() + 1, 0);
-  for (const hw::Cell& cell : module.cells()) {
-    for (hw::WireId wire : cell.inputs) ++readers.first[wire + 1];
-  }
-  for (std::size_t w = 0; w < module.wire_count(); ++w) {
-    readers.first[w + 1] += readers.first[w];
-  }
-  readers.cells.resize(readers.first.back());
-  std::vector<std::uint32_t> fill(readers.first.begin(), readers.first.end() - 1);
-  for (std::size_t c = 0; c < module.cells().size(); ++c) {
-    for (hw::WireId wire : module.cells()[c].inputs) {
-      readers.cells[fill[wire]++] = static_cast<std::uint32_t>(c);
-    }
-  }
-  return readers;
-}
-
-/// Folded net model. Pins are stored in CSR form: the pins of net `j` are
-/// `pins[start[j]] .. pins[start[j + 1] - 1]`, driver first.
-struct NetList {
-  std::vector<std::uint32_t> start{0};
-  std::vector<std::uint32_t> pins;  ///< instance indices
-  std::size_t size() const { return start.size() - 1; }
-};
-
-/// One net per output wire of each fabric cell: its driver, plus one pin per
-/// fabric input slot that reads the wire or a wire derived from it through
-/// wiring cells. A wiring cell reached twice is expanded once. Wires rooted at
-/// a const or a port carry no net, and a net with no fabric consumer is left
-/// out (its HPWL is always 0).
-NetList fold_nets(const hw::Module& module, const std::vector<bool>& wiring,
-                  const WireReaders& readers) {
-  const std::vector<hw::Cell>& cells = module.cells();
-  NetList nets;
-  std::vector<std::uint32_t> seen(cells.size(), kNone);  // expanding root wire
-  std::vector<hw::WireId> stack;
-  std::uint32_t root = 0;
-  for (std::size_t c = 0; c < cells.size(); ++c) {
-    if (wiring[c]) continue;
-    for (hw::WireId out : cells[c].outputs) {
-      ++root;
-      nets.pins.push_back(static_cast<std::uint32_t>(c));
-      stack.assign(1, out);
-      while (!stack.empty()) {
-        const hw::WireId wire = stack.back();
-        stack.pop_back();
-        for (std::uint32_t p = readers.first[wire]; p < readers.first[wire + 1];
-             ++p) {
-          const std::uint32_t reader = readers.cells[p];
-          if (!wiring[reader]) {
-            nets.pins.push_back(reader);
-          } else if (seen[reader] != root) {
-            seen[reader] = root;
-            for (hw::WireId next : cells[reader].outputs) stack.push_back(next);
-          }
-        }
-      }
-      if (nets.pins.size() - nets.start.back() > 1) {
-        nets.start.push_back(static_cast<std::uint32_t>(nets.pins.size()));
-      } else {
-        nets.pins.pop_back();
-      }
-    }
-  }
-  return nets;
-}
-
-/// The instance each wiring cell shares a tile with: the fabric cell at the
-/// root of its first driven (not port) input, following wiring drivers back
-/// through their first driven inputs; if that root is a const or a port,
-/// its first fabric consumer (lowest cell index reached through wiring);
-/// else kNone. Cells on a wiring-only loop anchor to nothing.
-std::vector<std::uint32_t> wiring_anchors(const hw::Module& module,
-                                          const MappedDesign& design,
-                                          const std::vector<bool>& wiring,
-                                          const WireReaders& readers) {
-  const std::vector<hw::Cell>& cells = module.cells();
-  // Wiring cells in topological order of their wiring-to-wiring connections.
-  std::vector<std::uint32_t> pending(cells.size(), 0);
-  std::vector<std::uint32_t> order;
-  for (std::size_t c = 0; c < cells.size(); ++c) {
-    if (!wiring[c]) continue;
-    for (hw::WireId wire : cells[c].inputs) {
-      const std::size_t driver = design.driver_of_wire[wire];
-      if (driver != SIZE_MAX && wiring[driver]) ++pending[c];
-    }
-    if (pending[c] == 0) order.push_back(static_cast<std::uint32_t>(c));
-  }
-  for (std::size_t k = 0; k < order.size(); ++k) {
-    for (hw::WireId out : cells[order[k]].outputs) {
-      for (std::uint32_t p = readers.first[out]; p < readers.first[out + 1]; ++p) {
-        const std::uint32_t reader = readers.cells[p];
-        if (wiring[reader] && --pending[reader] == 0) order.push_back(reader);
-      }
-    }
-  }
-
-  std::vector<std::uint32_t> up(cells.size(), kNone);
-  for (std::uint32_t c : order) {
-    for (hw::WireId wire : cells[c].inputs) {
-      const std::size_t driver = design.driver_of_wire[wire];
-      if (driver == SIZE_MAX) continue;
-      up[c] = wiring[driver] ? up[driver] : static_cast<std::uint32_t>(driver);
-      break;
-    }
-  }
-  std::vector<std::uint32_t> down(cells.size(), kNone);
-  for (auto it = order.rbegin(); it != order.rend(); ++it) {
-    for (hw::WireId out : cells[*it].outputs) {
-      for (std::uint32_t p = readers.first[out]; p < readers.first[out + 1]; ++p) {
-        const std::uint32_t reader = readers.cells[p];
-        down[*it] = std::min(down[*it], wiring[reader] ? down[reader] : reader);
-      }
-    }
-    if (up[*it] == kNone) up[*it] = down[*it];
-  }
-  return up;
-}
 
 /// One distinct net on an instance, with the instance's pin count on it. A
 /// net is listed once even when the instance drives and reads it, or reads
@@ -158,7 +17,7 @@ struct InstanceNet {
   std::int64_t pins;
 };
 
-std::vector<std::vector<InstanceNet>> nets_by_instance(const NetList& nets,
+std::vector<std::vector<InstanceNet>> nets_by_instance(const FoldedNets& nets,
                                                        std::size_t n) {
   std::vector<std::vector<InstanceNet>> out(n);
   for (std::uint32_t j = 0; j < nets.size(); ++j) {
@@ -174,7 +33,7 @@ std::vector<std::vector<InstanceNet>> nets_by_instance(const NetList& nets,
   return out;
 }
 
-std::int64_t net_hpwl(const NetList& nets, std::uint32_t j,
+std::int64_t net_hpwl(const FoldedNets& nets, std::uint32_t j,
                       const std::vector<unsigned>& xs,
                       const std::vector<unsigned>& ys) {
   unsigned min_x = ~0u, max_x = 0, min_y = ~0u, max_y = 0;
@@ -203,15 +62,14 @@ Placement place(const hw::Module& module, const MappedDesign& design,
                 const NxDevice& device, const PlaceOptions& options) {
   Placement placement;
   const std::size_t n = design.instances.size();
+  const FoldedNets nets = fold_nets(module, design);
+  const std::vector<bool>& wiring = nets.wiring;
 
-  std::vector<bool> wiring(n, false);
   std::vector<std::uint32_t> fabric;
   std::vector<std::int64_t> area(n, 0);
   std::size_t area_luts = 0;
   for (std::size_t i = 0; i < n; ++i) {
     const MappedInstance& inst = design.instances[i];
-    wiring[i] = inst.cell_index != SIZE_MAX &&
-                is_wiring(module.cells()[inst.cell_index].kind);
     if (wiring[i]) continue;
     fabric.push_back(static_cast<std::uint32_t>(i));
     area[i] = std::max<unsigned>(inst.luts + inst.ffs / 4, 1);
@@ -239,8 +97,6 @@ Placement place(const hw::Module& module, const MappedDesign& design,
     ys[i] = static_cast<unsigned>(rng.next_below(side));
   }
 
-  const WireReaders readers = wire_readers(module);
-  const NetList nets = fold_nets(module, wiring, readers);
   const std::vector<std::vector<InstanceNet>> inst_nets =
       nets_by_instance(nets, n);
   std::vector<std::int64_t> net_cost(nets.size());
@@ -323,11 +179,11 @@ Placement place(const hw::Module& module, const MappedDesign& design,
 
   // Final metrics. Wiring instances take their anchor's tile.
   const std::vector<std::uint32_t> anchor =
-      wiring_anchors(module, design, wiring, readers);
+      wiring_anchors(module, design, wiring);
   placement.location.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
     const std::uint32_t at = wiring[i] ? anchor[i] : static_cast<std::uint32_t>(i);
-    placement.location[i] = at == kNone ? std::pair<unsigned, unsigned>{0, 0}
+    placement.location[i] = at == kNoAnchor ? std::pair<unsigned, unsigned>{0, 0}
                                         : std::pair{xs[at], ys[at]};
   }
   std::int64_t hpwl = 0;

@@ -5,16 +5,10 @@
 // tile capacity overflow. Deterministic for a fixed seed.
 //
 // Only what occupies the fabric is placed: every cell instance except the
-// wiring cells (const/zext/sext/slice/concat, which have no resources and no
-// delay), plus the BRAM memory instances. Wiring is folded into the nets it
-// connects: each output wire of a fabric cell is one net holding its driver
-// and every fabric consumer it reaches, directly or through chains of wiring
-// cells, one pin per consuming input slot. A const-driven chain is a tie-off
-// and gets no net; neither does a port-driven wire. Wiring instances have
-// area 0 and do not count toward the region size. After annealing, each
-// takes the tile of the fabric cell at the root of its first driven input,
-// else that of its first fabric consumer, else (0, 0), so `location` covers
-// every mapped instance.
+// wiring cells (hw::is_wiring), plus the BRAM memory instances, over the
+// folded nets both routers price (nxmap/nets.hpp). Wiring has area 0, does
+// not count toward the region size, and after annealing takes its anchor's
+// tile (`wiring_anchors`), else (0, 0), so `location` covers every instance.
 //
 // Random start, then rounds of single-instance moves under a geometric
 // cooling schedule. Moves are range-limited (Betz & Rose, VPR): a move goes

@@ -1,7 +1,8 @@
 #include "nxmap/route.hpp"
 
 #include <algorithm>
-#include <cmath>
+
+#include "nxmap/nets.hpp"
 
 namespace hermes::nx {
 
@@ -11,84 +12,71 @@ Routing route(const hw::Module& module, const MappedDesign& design,
   Routing routing;
   routing.wire_delay_ns.assign(module.wire_count(), 0.0);
   const unsigned side = std::max(placement.grid_side, 1u);
+  const FoldedNets nets = fold_nets(module, design);
 
-  // Pass 1: accumulate routing demand per tile (net bbox spread).
+  // Pass 1: each net's bounding box, and its routing demand spread over it.
   std::vector<double> demand(static_cast<std::size_t>(side) * side, 0.0);
   auto tile_index = [&](unsigned x, unsigned y) {
     return static_cast<std::size_t>(y) * side + x;
   };
-
-  struct Span {
+  struct Box {
     unsigned min_x, max_x, min_y, max_y;
-    double hops;
-  };
-  std::vector<Span> spans(module.wire_count(), {0, 0, 0, 0, -1.0});
-
-  for (std::size_t c = 0; c < module.cells().size(); ++c) {
-    const hw::Cell& cell = module.cells()[c];
-    for (hw::WireId wire : cell.inputs) {
-      const std::size_t driver = design.driver_of_wire[wire];
-      if (driver == SIZE_MAX) continue;
-      const auto [dx, dy] = placement.location[driver];
-      const auto [cx, cy] = placement.location[c];
-      Span& span = spans[wire];
-      if (span.hops < 0) {
-        span = {std::min(dx, cx), std::max(dx, cx), std::min(dy, cy),
-                std::max(dy, cy), 0.0};
-      } else {
-        span.min_x = std::min(span.min_x, cx);
-        span.max_x = std::max(span.max_x, cx);
-        span.min_y = std::min(span.min_y, cy);
-        span.max_y = std::max(span.max_y, cy);
-      }
+    [[nodiscard]] double hops() const {
+      return static_cast<double>(max_x - min_x) +
+             static_cast<double>(max_y - min_y);
     }
-  }
-  for (hw::WireId wire = 0; wire < module.wire_count(); ++wire) {
-    Span& span = spans[wire];
-    if (span.hops < 0) continue;
-    span.hops = static_cast<double>(span.max_x - span.min_x) +
-                static_cast<double>(span.max_y - span.min_y);
-    routing.total_wirelength += span.hops;
-    // Spread one unit of demand per wire bit over the bbox tiles.
+  };
+  std::vector<Box> boxes(nets.size());
+  for (std::size_t j = 0; j < nets.size(); ++j) {
+    Box box{~0u, 0, ~0u, 0};
+    for (std::uint32_t p = nets.start[j]; p < nets.start[j + 1]; ++p) {
+      const auto [x, y] = placement.location[nets.pins[p]];
+      box = {std::min(box.min_x, x), std::max(box.max_x, x),
+             std::min(box.min_y, y), std::max(box.max_y, y)};
+    }
+    boxes[j] = box;
+    routing.total_wirelength += box.hops();
+    // One unit of demand per root-wire bit, spread over the box's tiles.
     const double bbox_tiles =
-        static_cast<double>(span.max_x - span.min_x + 1) *
-        static_cast<double>(span.max_y - span.min_y + 1);
-    const double bits = module.wire_width(wire);
-    for (unsigned y = span.min_y; y <= span.max_y && y < side; ++y) {
-      for (unsigned x = span.min_x; x <= span.max_x && x < side; ++x) {
+        static_cast<double>(box.max_x - box.min_x + 1) *
+        static_cast<double>(box.max_y - box.min_y + 1);
+    const double bits = module.wire_width(nets.root[j]);
+    for (unsigned y = box.min_y; y <= box.max_y && y < side; ++y) {
+      for (unsigned x = box.min_x; x <= box.max_x && x < side; ++x) {
         demand[tile_index(x, y)] += bits / bbox_tiles;
       }
     }
   }
 
-  // Pass 2: congestion metrics.
+  // Pass 2: each root wire's routed delay = base hop delay * distance,
+  // dilated by the worst congestion inside the box (detour model).
+  for (std::size_t j = 0; j < nets.size(); ++j) {
+    const Box& box = boxes[j];
+    double worst = 0.0;
+    for (unsigned y = box.min_y; y <= box.max_y && y < side; ++y) {
+      for (unsigned x = box.min_x; x <= box.max_x && x < side; ++x) {
+        worst = std::max(worst, demand[tile_index(x, y)] / options.channel_capacity);
+      }
+    }
+    const double dilation = worst > 1.0 ? worst : 1.0;
+    routing.wire_delay_ns[nets.root[j]] =
+        device.target.routing_delay_ns * (0.5 + 0.25 * box.hops()) * dilation;
+  }
+  summarize_congestion(demand, options.channel_capacity, routing);
+  return routing;
+}
+
+void summarize_congestion(const std::vector<double>& demand, double capacity,
+                          Routing& routing) {
   std::size_t congested = 0;
   for (double d : demand) {
-    const double ratio = d / options.channel_capacity;
-    routing.max_congestion = std::max(routing.max_congestion, ratio);
-    if (ratio > 1.0) ++congested;
+    routing.max_congestion = std::max(routing.max_congestion, d / capacity);
+    if (d > capacity) ++congested;
   }
   routing.congested_tiles_pct =
       demand.empty() ? 0.0
                      : 100.0 * static_cast<double>(congested) /
                            static_cast<double>(demand.size());
-
-  // Pass 3: per-wire routed delay = base hop delay * distance, dilated by
-  // the worst congestion along the bbox (detour model).
-  for (hw::WireId wire = 0; wire < module.wire_count(); ++wire) {
-    const Span& span = spans[wire];
-    if (span.hops < 0) continue;
-    double worst = 0.0;
-    for (unsigned y = span.min_y; y <= span.max_y && y < side; ++y) {
-      for (unsigned x = span.min_x; x <= span.max_x && x < side; ++x) {
-        worst = std::max(worst, demand[tile_index(x, y)] / options.channel_capacity);
-      }
-    }
-    const double dilation = worst > 1.0 ? worst : 1.0;
-    routing.wire_delay_ns[wire] =
-        device.target.routing_delay_ns * (0.5 + 0.25 * span.hops) * dilation;
-  }
-  return routing;
 }
 
 }  // namespace hermes::nx

@@ -1,10 +1,11 @@
 // Global routing estimate (paper Fig. 3: "route").
 //
-// Computes per-connection routed delays from Manhattan distance on the
-// placed design, plus a congestion model: routing demand is spread over each
-// net's bounding box; tiles over the channel capacity dilate all delays
-// through them. This is a global-router-style estimate, which is what timing
-// closure decisions in the real NXmap flow are first made on.
+// Prices the placer's folded nets (nxmap/nets.hpp): each net's delay comes
+// from its bounding-box half-perimeter and lands on its root wire. Each net
+// spreads its root-wire width over its box; tiles over the channel capacity
+// dilate the delays of the nets whose boxes cross them. `total_wirelength`
+// is the placer's HPWL. This is a global-router-style estimate, which is
+// what timing-closure decisions in the real NXmap flow are first made on.
 #pragma once
 
 #include <vector>
@@ -14,10 +15,14 @@
 
 namespace hermes::nx {
 
+/// Options of both routers: the estimator here and `detailed_route`.
 struct RouteOptions {
   /// Routing demand (wire-bits) one tile's channels sustain. Modern fabrics
   /// provide on the order of 100-200 tracks per channel.
   double channel_capacity = 160.0;
+  /// Negotiation rounds `detailed_route` may take; the estimator makes one
+  /// pass.
+  unsigned max_iterations = 24;
 };
 
 struct Routing {
@@ -31,5 +36,11 @@ struct Routing {
 Routing route(const hw::Module& module, const MappedDesign& design,
               const Placement& placement, const NxDevice& device,
               const RouteOptions& options = {});
+
+/// Sets `max_congestion` and `congested_tiles_pct` from each tile's routing
+/// demand (wire-bits) against the channel capacity: both routers report
+/// congestion through it.
+void summarize_congestion(const std::vector<double>& demand, double capacity,
+                          Routing& routing);
 
 }  // namespace hermes::nx

@@ -115,6 +115,9 @@ Result<TimingReport> analyze_timing(const hw::Module& module,
     const hw::Cell& cell = cells[cursor];
     report.critical_path.push_back(
         cell.name.empty() ? hw::to_string(cell.kind) : cell.name);
+    // A sequential cell launches the path: its inputs belong to the
+    // previous cycle.
+    if (hw::is_sequential(cell.kind)) break;
     // Step to the input that sets the cell's input arrival: the latest
     // arrival plus routed delay, the quantity the forward pass maximizes.
     std::size_t next = SIZE_MAX;

@@ -50,15 +50,6 @@ Result<MappedDesign> techmap(const hw::Module& module, const NxDevice& device) {
                              : module.wire_width(cell.outputs[0]);
 
     switch (cell.kind) {
-      case hw::CellKind::kConst:
-      case hw::CellKind::kZext:
-      case hw::CellKind::kSext:
-      case hw::CellKind::kSlice:
-      case hw::CellKind::kConcat:
-        // Pure wiring: no fabric resources, no delay.
-        inst.kind = PrimKind::kLutCluster;
-        inst.internal_delay_ns = 0.0;
-        break;
       case hw::CellKind::kRegister:
         inst.kind = PrimKind::kFf;
         inst.ffs = width;
@@ -93,7 +84,8 @@ Result<MappedDesign> techmap(const hw::Module& module, const NxDevice& device) {
         break;
       }
       default: {
-        inst.kind = PrimKind::kLutCluster;
+        // Pure wiring: no fabric resources, no delay.
+        if (hw::is_wiring(cell.kind)) break;
         const ir::Op op = op_for_cell(cell.kind);
         const hls::OpCost cost = lib.cost(op, width);
         inst.luts = static_cast<unsigned>(cost.luts);

@@ -59,11 +59,8 @@ void mix_backend_options(KeyBuilder& key, const nx::BackendOptions& options) {
       .f64(options.place.cooling)
       .u64(options.place.seed)
       .f64(options.route.channel_capacity)
-      .u64(options.detailed_router ? 1 : 0)
-      .f64(options.detailed.channel_capacity)
-      .u64(options.detailed.max_iterations)
-      .f64(options.detailed.present_factor)
-      .f64(options.detailed.history_factor);
+      .u64(options.route.max_iterations)
+      .u64(options.detailed_router ? 1 : 0);
 }
 
 }  // namespace

@@ -90,8 +90,8 @@ TEST(PinnedArtifacts, ServiceStageKeys) {
   const std::uint64_t expected[] = {
       0x38ee0fe052376defULL,  // characterize
       0xdafb6c8a3f87b991ULL,  // schedule
-      0xd2ce7de089033c02ULL,  // map
-      0xd50d4b107a1876ddULL,  // bitstream
+      0xe938bd2d046c2e35ULL,  // map
+      0xa2f3f96f6a61818aULL,  // bitstream
   };
   const std::vector<svc::StageTrace>& stages = outcomes[0].stages;
   ASSERT_EQ(stages.size(), std::size(expected));
