@@ -82,40 +82,6 @@ void BM_PlacementEffort(benchmark::State& state) {
 BENCHMARK(BM_PlacementEffort)->Arg(0)->Arg(8)->Arg(32)->Arg(128)
     ->Unit(benchmark::kMillisecond);
 
-/// Router comparison: bounding-box estimator vs PathFinder negotiated
-/// routing — quality (wirelength/congestion truth) vs runtime.
-void BM_RouterComparison(benchmark::State& state) {
-  const bool detailed = state.range(0) != 0;
-  state.SetLabel(detailed ? "pathfinder" : "estimator");
-  const apps::KernelSpec spec = apps::matmul_kernel(8);
-  hls::FlowOptions options;
-  options.top = spec.name;
-  auto flow = hls::run_flow(spec.source, options);
-  if (!flow.ok()) {
-    state.SkipWithError("flow failed");
-    return;
-  }
-  const nx::NxDevice device = nx::make_device(hls::ng_ultra());
-  nx::BackendOptions backend_options;
-  backend_options.detailed_router = detailed;
-  backend_options.route.max_iterations = 64;
-  nx::BackendResult result;
-  for (auto _ : state) {
-    auto backend = nx::run_backend(flow.value().fsmd.module, device,
-                                   backend_options);
-    if (backend.ok()) result = backend.take();
-    benchmark::ClobberMemory();
-  }
-  state.counters["wirelength"] = result.routing.total_wirelength;
-  state.counters["congestion"] = result.routing.max_congestion;
-  state.counters["fmax_mhz"] = result.timing.fmax_mhz;
-  if (detailed) {
-    state.counters["route_iterations"] = result.route_iterations;
-    state.counters["converged"] = result.route_converged ? 1 : 0;
-  }
-}
-BENCHMARK(BM_RouterComparison)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 BENCHMARK_MAIN();

@@ -1,5 +1,6 @@
 #include "hls/flow.hpp"
 
+#include <cmath>
 #include <sstream>
 
 #include "common/strings.hpp"
@@ -11,6 +12,12 @@ namespace hermes::hls {
 
 Result<ScheduledDesign> run_flow_schedule(std::string_view source,
                                           const FlowOptions& options) {
+  const double period = options.constraints.clock_period_ns;
+  if (!std::isfinite(period) || period <= 0) {
+    return Status::Error(ErrorCode::kInvalidArgument,
+                         "clock period must be finite and positive");
+  }
+
   // ---- front-end ----
   auto program = fe::parse(source);
   if (!program.ok()) return program.status();

@@ -60,6 +60,7 @@ struct FlowResult : ScheduledDesign {
 Result<FlowResult> run_flow(std::string_view source, const FlowOptions& options);
 
 /// Stage 1: parse, type check, lower, optimize, allocate, schedule, bind.
+/// A clock period that is not finite and positive is kInvalidArgument.
 Result<ScheduledDesign> run_flow_schedule(std::string_view source,
                                           const FlowOptions& options);
 

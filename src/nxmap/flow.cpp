@@ -1,5 +1,6 @@
 #include "nxmap/flow.hpp"
 
+#include <cmath>
 #include <sstream>
 
 #include "common/strings.hpp"
@@ -9,6 +10,16 @@ namespace hermes::nx {
 Result<MapResult> run_backend_map(const hw::Module& module,
                                   const NxDevice& device,
                                   const BackendOptions& options) {
+  const double capacity = options.route.channel_capacity;
+  if (!std::isfinite(capacity) || capacity <= 0) {
+    return Status::Error(ErrorCode::kInvalidArgument,
+                         "channel capacity must be finite and positive");
+  }
+  if (!std::isfinite(options.target_period_ns) ||
+      options.target_period_ns < 0) {
+    return Status::Error(ErrorCode::kInvalidArgument,
+                         "target period must be finite and non-negative");
+  }
   MapResult result;
   // Logic-synthesis cleanup: drop logic that drives nothing before paying
   // for it in mapping, placement and routing. HLS output is already swept
@@ -23,17 +34,8 @@ Result<MapResult> run_backend_map(const hw::Module& module,
 
   result.placement =
       place(result.synthesized, result.mapped, device, options.place);
-  if (options.detailed_router) {
-    DetailedRouteResult detailed =
-        detailed_route(result.synthesized, result.mapped, result.placement,
-                       device, options.route);
-    result.routing = std::move(detailed.routing);
-    result.route_iterations = detailed.iterations;
-    result.route_converged = detailed.converged;
-  } else {
-    result.routing = route(result.synthesized, result.mapped, result.placement,
-                           device, options.route);
-  }
+  result.routing = route(result.synthesized, result.mapped, result.placement,
+                         device, options.route);
   auto timing = analyze_timing(result.synthesized, result.mapped,
                                result.routing, device,
                                options.target_period_ns);

@@ -11,7 +11,6 @@
 
 #include "common/status.hpp"
 #include "nxmap/bitstream.hpp"
-#include "nxmap/detailed_route.hpp"
 #include "nxmap/device.hpp"
 #include "nxmap/place.hpp"
 #include "nxmap/power.hpp"
@@ -21,13 +20,12 @@
 
 namespace hermes::nx {
 
+/// run_backend_map rejects a target that is negative or not finite, and a
+/// channel capacity that is not finite and positive (kInvalidArgument).
 struct BackendOptions {
   double target_period_ns = 0.0;  ///< 0 = report-only STA
   PlaceOptions place;
-  RouteOptions route;  ///< read by whichever router runs
-  /// true: PathFinder negotiated-congestion routing (slower, real embeddings);
-  /// false: bounding-box estimator.
-  bool detailed_router = false;
+  RouteOptions route;
 };
 
 /// Map/place/route/STA/power — everything except bitstream packing. The
@@ -43,9 +41,6 @@ struct MapResult {
   Routing routing;
   TimingReport timing;
   PowerReport power;
-  /// Populated when the detailed router ran.
-  unsigned route_iterations = 0;
-  bool route_converged = true;
 };
 
 /// Packed programming image plus its self-verification record.

@@ -1,12 +1,12 @@
-// The backend's one net model, shared by place, both routers and so STA.
+// The backend's one net model, shared by place, route and so STA.
 //
 // Wiring cells (hw::is_wiring) have no resources and no delay, so they are
 // folded into the nets they connect. Each output wire of a fabric cell roots
 // one net: its driver plus every fabric consumer the wire reaches, directly
 // or through chains of wiring, one pin per consuming input slot. A const- or
 // port-driven wire gets no net, nor does a root no fabric cell consumes.
-// `place` anneals these nets; `route` and `detailed_route` price each once,
-// on its root wire, so a wire derived through wiring has no routed delay.
+// `place` anneals these nets; `route` prices each once, on its root wire, so
+// a wire derived through wiring has no routed delay.
 #pragma once
 
 #include <cstdint>

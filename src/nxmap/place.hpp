@@ -6,7 +6,7 @@
 //
 // Only what occupies the fabric is placed: every cell instance except the
 // wiring cells (hw::is_wiring), plus the BRAM memory instances, over the
-// folded nets both routers price (nxmap/nets.hpp). Wiring has area 0, does
+// folded nets the router prices (nxmap/nets.hpp). Wiring has area 0, does
 // not count toward the region size, and after annealing takes its anchor's
 // tile (`wiring_anchors`), else (0, 0), so `location` covers every instance.
 //

@@ -5,7 +5,12 @@
 // spreads its root-wire width over its box; tiles over the channel capacity
 // dilate the delays of the nets whose boxes cross them. `total_wirelength`
 // is the placer's HPWL. This is a global-router-style estimate, which is
-// what timing-closure decisions in the real NXmap flow are first made on.
+// what timing-closure decisions in the real NXmap flow are first made on,
+// and the backend's one router: STA signs off on its delays. The box is a
+// lower bound on a multi-sink tree, so its fmax is optimistic;
+// RouteOracle.BoundsEstimatorOnCensus (tests/test_nxmap.cpp) bounds that
+// optimism against a negotiated-congestion embedding of the same nets, the
+// routing oracle in tests/route_oracle.hpp.
 #pragma once
 
 #include <vector>
@@ -15,14 +20,10 @@
 
 namespace hermes::nx {
 
-/// Options of both routers: the estimator here and `detailed_route`.
 struct RouteOptions {
   /// Routing demand (wire-bits) one tile's channels sustain. Modern fabrics
   /// provide on the order of 100-200 tracks per channel.
   double channel_capacity = 160.0;
-  /// Negotiation rounds `detailed_route` may take; the estimator makes one
-  /// pass.
-  unsigned max_iterations = 24;
 };
 
 struct Routing {
@@ -38,8 +39,8 @@ Routing route(const hw::Module& module, const MappedDesign& design,
               const RouteOptions& options = {});
 
 /// Sets `max_congestion` and `congested_tiles_pct` from each tile's routing
-/// demand (wire-bits) against the channel capacity: both routers report
-/// congestion through it.
+/// demand (wire-bits) against the channel capacity. Public so that the
+/// routing oracle in tests/ reports congestion alike.
 void summarize_congestion(const std::vector<double>& demand, double capacity,
                           Routing& routing);
 

@@ -58,9 +58,7 @@ void mix_backend_options(KeyBuilder& key, const nx::BackendOptions& options) {
       .f64(options.place.initial_temp)
       .f64(options.place.cooling)
       .u64(options.place.seed)
-      .f64(options.route.channel_capacity)
-      .u64(options.route.max_iterations)
-      .u64(options.detailed_router ? 1 : 0);
+      .f64(options.route.channel_capacity);
 }
 
 }  // namespace

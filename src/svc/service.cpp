@@ -53,7 +53,6 @@ std::vector<std::uint8_t> image_of_map(const nx::MapResult& map) {
   w.u64(std::bit_cast<std::uint64_t>(map.timing.fmax_mhz));
   w.u64(std::bit_cast<std::uint64_t>(map.timing.slack_ns));
   w.u64(std::bit_cast<std::uint64_t>(map.power.total_mw));
-  w.u64(map.route_iterations);
   return image;
 }
 

@@ -1,40 +1,65 @@
-#include "nxmap/detailed_route.hpp"
+// PathFinder negotiated-congestion routing, kept as the test oracle that
+// bounds the signoff router's optimism.
+//
+// `nx::route` prices each folded net (nxmap/nets.hpp) from its bounding box,
+// a lower bound on a multi-sink tree. This oracle embeds the same nets into
+// the routing grid: each becomes a Steiner tree over tile nodes, built
+// sink-by-sink with Dijkstra searches whose node costs rise with present
+// overuse and accumulated history (the classic PathFinder negotiation),
+// iterating rip-up-and-reroute until no tile's channel capacity is exceeded
+// or `max_rounds` rounds have run. The result carries the estimator's
+// Routing, so STA reads either alike and the tests compare the two.
+//
+// Each sink's search is unbounded over the whole grid, so a design that does
+// not converge (sobel) costs ~0.3 s for its 24 rounds: the census tests run
+// it on two clocks only.
+#pragma once
 
 #include <algorithm>
+#include <cstdint>
+#include <functional>
 #include <queue>
+#include <utility>
+#include <vector>
 
 #include "nxmap/nets.hpp"
+#include "nxmap/route.hpp"
 
-namespace hermes::nx {
-namespace {
+namespace hermes::nx::oracle {
 
-constexpr double kPresentFactor = 0.6;   ///< penalty slope for current overuse
-constexpr double kHistoryFactor = 0.35;  ///< accumulated-congestion pressure
-
-/// One folded net as embedded: the driver tile, every other pin tile, and
-/// the demand it puts on a tile it crosses (the root wire's width).
-struct Net {
-  std::size_t driver_node;
-  std::vector<std::size_t> sink_nodes;
-  double bits;
-  std::vector<std::size_t> tree;     ///< routed tile nodes (driver included)
-  std::vector<std::size_t> charged;  ///< tree nodes that consumed channel capacity
-
-  [[nodiscard]] bool is_terminal(std::size_t node) const {
-    if (node == driver_node) return true;
-    return std::find(sink_nodes.begin(), sink_nodes.end(), node) !=
-           sink_nodes.end();
-  }
+struct OracleRoute {
+  Routing routing;            ///< same consumer interface as the estimator
+  unsigned iterations = 0;    ///< negotiation rounds used
+  bool converged = false;     ///< no overused tile at exit
+  std::size_t overused_tiles = 0;
 };
 
-}  // namespace
+inline OracleRoute pathfinder(const hw::Module& module,
+                              const MappedDesign& design,
+                              const Placement& placement,
+                              const NxDevice& device,
+                              const RouteOptions& options = {},
+                              unsigned max_rounds = 24) {
+  constexpr double kPresentFactor = 0.6;   // penalty slope for current overuse
+  constexpr double kHistoryFactor = 0.35;  // accumulated-congestion pressure
 
-DetailedRouteResult detailed_route(const hw::Module& module,
-                                   const MappedDesign& design,
-                                   const Placement& placement,
-                                   const NxDevice& device,
-                                   const RouteOptions& options) {
-  DetailedRouteResult result;
+  // One folded net as embedded: the driver tile, every other pin tile, and
+  // the demand it puts on a tile it crosses (the root wire's width).
+  struct Net {
+    std::size_t driver_node;
+    std::vector<std::size_t> sink_nodes;
+    double bits;
+    std::vector<std::size_t> tree;     // routed tile nodes (driver included)
+    std::vector<std::size_t> charged;  // tree nodes that consumed capacity
+
+    [[nodiscard]] bool is_terminal(std::size_t node) const {
+      if (node == driver_node) return true;
+      return std::find(sink_nodes.begin(), sink_nodes.end(), node) !=
+             sink_nodes.end();
+    }
+  };
+
+  OracleRoute result;
   result.routing.wire_delay_ns.assign(module.wire_count(), 0.0);
 
   const unsigned side = std::max(placement.grid_side, 1u);
@@ -143,7 +168,7 @@ DetailedRouteResult detailed_route(const hw::Module& module,
   // Negotiation loop.
   bool converged = false;
   unsigned iteration = 0;
-  for (; iteration < options.max_iterations; ++iteration) {
+  for (; iteration < max_rounds; ++iteration) {
     for (Net& net : nets) {
       if (!net.tree.empty()) rip_up(net);
       route_net(net);
@@ -164,7 +189,7 @@ DetailedRouteResult detailed_route(const hw::Module& module,
       break;
     }
   }
-  result.iterations = std::min(iteration + 1, options.max_iterations);
+  result.iterations = std::min(iteration + 1, max_rounds);
   result.converged = converged;
 
   // Delays and metrics from the final trees.
@@ -179,4 +204,4 @@ DetailedRouteResult detailed_route(const hw::Module& module,
   return result;
 }
 
-}  // namespace hermes::nx
+}  // namespace hermes::nx::oracle

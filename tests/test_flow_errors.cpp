@@ -3,6 +3,8 @@
 // of the "functionality and usability" evaluation (paper Sec. V).
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "hls/flow.hpp"
 #include "hv/hypervisor.hpp"
 
@@ -56,6 +58,26 @@ TEST(FlowErrors, PointersRejected) {
 TEST(FlowErrors, EmptySourceRejected) {
   auto flow = hls::run_flow("", top("f"));
   ASSERT_FALSE(flow.ok());
+}
+
+TEST(FlowErrors, ClockPeriodMustBeFiniteAndPositive) {
+  const double periods[] = {0.0, -1.0,
+                            std::numeric_limits<double>::quiet_NaN(),
+                            std::numeric_limits<double>::infinity(),
+                            -std::numeric_limits<double>::infinity()};
+  for (double period : periods) {
+    hls::FlowOptions options = top("f");
+    options.constraints.clock_period_ns = period;
+    auto flow = hls::run_flow("int f(int a, int b) { return a * b + a; }",
+                              options);
+    ASSERT_FALSE(flow.ok()) << period;
+    EXPECT_EQ(flow.status().code(), ErrorCode::kInvalidArgument) << period;
+  }
+  hls::FlowOptions options = top("f");
+  options.constraints.clock_period_ns = 0.5;
+  EXPECT_TRUE(hls::run_flow("int f(int a, int b) { return a * b + a; }",
+                            options)
+                  .ok());
 }
 
 TEST(FlowErrors, SuccessfulFlowHasWellFormedVerilog) {

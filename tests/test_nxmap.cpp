@@ -7,12 +7,14 @@
 #include <cmath>
 #include <cstdio>
 #include <functional>
+#include <limits>
 #include <map>
 #include <set>
 
 #include "apps/kernels.hpp"
 #include "hls/flow.hpp"
 #include "netlist_fuzz.hpp"
+#include "route_oracle.hpp"
 #include "nxmap/flow.hpp"
 #include "common/rng.hpp"
 
@@ -520,9 +522,9 @@ TEST(Route, DelaysAndWirelengthPopulated) {
   EXPECT_TRUE(any_delay);
 }
 
-// mul -> zext -> add, with a const and a port on the other inputs: each
-// router prices the folded net once, on the mul's output; the zext's wire,
-// the const tie-offs and the port carry no routed delay.
+// mul -> zext -> add, with a const and a port on the other inputs: the
+// router and its oracle price the folded net once, on the mul's output; the
+// zext's wire, the const tie-offs and the port carry no routed delay.
 TEST(Route, PricesEachFoldedNetOnItsRootWire) {
   const NxDevice device = make_device(hls::ng_ultra());
   hw::Module m("fold");
@@ -552,8 +554,8 @@ TEST(Route, PricesEachFoldedNetOnItsRootWire) {
   EXPECT_DOUBLE_EQ(estimate.wire_delay_ns[p],
                    device.target.routing_delay_ns * (0.5 + 0.25 * hops));
   EXPECT_EQ(estimate.total_wirelength, placement.hpwl);
-  const DetailedRouteResult detailed =
-      detailed_route(m, design, placement, device);
+  const oracle::OracleRoute detailed =
+      oracle::pathfinder(m, design, placement, device);
   ASSERT_TRUE(detailed.converged);
   EXPECT_GE(detailed.routing.wire_delay_ns[p], estimate.wire_delay_ns[p]);
   for (const Routing* routing : {&estimate, &detailed.routing}) {
@@ -815,6 +817,35 @@ TEST(Backend, FullFlowOnHlsOutput) {
   EXPECT_NE(report.find("Fmax"), std::string::npos);
 }
 
+// A channel capacity that is not finite and positive, or a target period
+// that is negative or not finite, is rejected at the backend entry; 0 is
+// still a report-only target.
+TEST(Backend, RejectsOutOfRangeNumbers) {
+  const NxDevice device = make_device(hls::ng_ultra());
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const struct {
+    double capacity, target;
+    bool ok;
+  } cases[] = {
+      {160.0, 10.0, true}, {160.0, 0.0, true},  {0.5, 10.0, true},
+      {0.0, 10.0, false},  {-1.0, 10.0, false}, {nan, 10.0, false},
+      {inf, 10.0, false},  {160.0, -5.0, false}, {160.0, nan, false},
+      {160.0, inf, false},
+  };
+  for (const auto& c : cases) {
+    BackendOptions options;
+    options.route.channel_capacity = c.capacity;
+    options.target_period_ns = c.target;
+    auto backend = run_backend(small_design(), device, options);
+    EXPECT_EQ(backend.ok(), c.ok) << c.capacity << " " << c.target;
+    if (!c.ok) {
+      EXPECT_EQ(backend.status().code(), ErrorCode::kInvalidArgument)
+          << c.capacity << " " << c.target;
+    }
+  }
+}
+
 // ---- placement census ----
 
 // The catalog × clocks {6.25, 8, 10, 12.5} ns, each compiled for its clock
@@ -940,7 +971,8 @@ TEST(ClaimSpeedPower, NgUltraVsLegacyRadHard) {
 }  // namespace
 }  // namespace hermes::nx
 
-// Detailed (PathFinder) router tests appended as a separate suite.
+// The PathFinder routing oracle (route_oracle.hpp): its own behaviour, and
+// the bound it puts on the estimator's optimism.
 namespace hermes::nx {
 namespace {
 
@@ -961,8 +993,8 @@ TEST(DetailedRoute, ConvergesOnKernelNetlist) {
   ASSERT_TRUE(mapped.ok());
   const Placement placement = place(m, mapped.value(), device);
 
-  const DetailedRouteResult routed =
-      detailed_route(m, mapped.value(), placement, device);
+  const oracle::OracleRoute routed =
+      oracle::pathfinder(m, mapped.value(), placement, device);
   EXPECT_TRUE(routed.converged) << routed.overused_tiles << " overused tiles";
   EXPECT_EQ(routed.overused_tiles, 0u);
   EXPECT_GT(routed.routing.total_wirelength, 0.0);
@@ -996,34 +1028,66 @@ TEST(DetailedRoute, NegotiationResolvesArtificialScarcity) {
 
   RouteOptions tight;
   tight.channel_capacity = 40.0;
-  tight.max_iterations = 32;
-  const DetailedRouteResult routed =
-      detailed_route(m, mapped.value(), placement, device, tight);
+  const oracle::OracleRoute routed =
+      oracle::pathfinder(m, mapped.value(), placement, device, tight, 32);
   EXPECT_GT(routed.iterations, 1u) << "scarcity must trigger negotiation";
   EXPECT_LE(routed.routing.max_congestion, 2.0)
       << "negotiation must spread the hotspots (first-iteration hotspots on "
          "this design exceed 4x capacity)";
 }
 
-TEST(DetailedRoute, BackendIntegration) {
-  hw::Module m("dp2");
-  const hw::WireId a = m.add_wire(32, "a");
-  const hw::WireId b = m.add_wire(32, "b");
-  m.add_input(a, "a");
-  m.add_input(b, "b");
-  const hw::WireId s = m.make_binop(hw::CellKind::kAdd, a, b, 32, "s");
-  const hw::WireId p = m.make_binop(hw::CellKind::kMul, a, s, 32, "p");
-  const hw::WireId en = m.make_const(1, 1);
-  m.add_output(m.make_register(p, en, 0, "q"), "q");
-
+// The catalog at clocks {6.25, 10} ns: 8 and 12.5 ns give the schedules
+// and placements of 10 ns, so two clocks cover the four-clock census. On
+// every point the routed trees are at least the estimator's wirelength (the
+// placer's HPWL); where the oracle converges, the estimator's fmax is at
+// least the oracle's, and by at most the pinned ratio. The converged count
+// is a floor and the ratio a ceiling: a later change may only improve them.
+TEST(RouteOracle, BoundsEstimatorOnCensus) {
   const NxDevice device = make_device(hls::ng_ultra());
-  BackendOptions options;
-  options.detailed_router = true;
-  auto backend = run_backend(m, device, options);
-  ASSERT_TRUE(backend.ok());
-  EXPECT_TRUE(backend.value().route_converged);
-  EXPECT_GE(backend.value().route_iterations, 1u);
-  EXPECT_GT(backend.value().timing.fmax_mhz, 0.0);
+  int points = 0, converged = 0;
+  double worst_ratio = 1.0;
+  for (const apps::KernelSpec& kernel : apps::all_kernels()) {
+    for (double period : {6.25, 10.0}) {
+      hls::FlowOptions options;
+      options.top = kernel.name;
+      options.constraints.clock_period_ns = period;
+      auto flow = hls::run_flow(kernel.source, options);
+      ASSERT_TRUE(flow.ok()) << kernel.name << " " << period;
+      BackendOptions backend_options;
+      backend_options.target_period_ns = period;
+      auto map =
+          run_backend_map(flow.value().fsmd.module, device, backend_options);
+      ASSERT_TRUE(map.ok()) << kernel.name << " " << period;
+      const MapResult& estimate = map.value();
+      const oracle::OracleRoute routed = oracle::pathfinder(
+          estimate.synthesized, estimate.mapped, estimate.placement, device);
+      auto timing = analyze_timing(estimate.synthesized, estimate.mapped,
+                                   routed.routing, device, period);
+      ASSERT_TRUE(timing.ok()) << kernel.name << " " << period;
+      const double estimate_fmax = estimate.timing.fmax_mhz;
+      const double oracle_fmax = timing.value().fmax_mhz;
+      EXPECT_GE(routed.routing.total_wirelength,
+                estimate.routing.total_wirelength)
+          << kernel.name << " " << period;
+      if (routed.converged) {
+        ++converged;
+        EXPECT_GE(estimate_fmax, oracle_fmax) << kernel.name << " " << period;
+        worst_ratio = std::max(worst_ratio, estimate_fmax / oracle_fmax);
+      }
+      ++points;
+      std::printf("oracle %-10s %5.2f ns: estimator %7.2f MHz %5.0f hops, "
+                  "oracle %7.2f MHz %5.0f hops, %2u rounds%s\n",
+                  kernel.name.c_str(), period, estimate_fmax,
+                  estimate.routing.total_wirelength, oracle_fmax,
+                  routed.routing.total_wirelength, routed.iterations,
+                  routed.converged ? "" : " (not converged)");
+    }
+  }
+  EXPECT_GE(converged, 8) << "of " << points;
+  EXPECT_LE(worst_ratio, 1.093);
+  std::printf("oracle census: %d/%d converged, worst estimator/oracle fmax "
+              "%.4f\n",
+              converged, points, worst_ratio);
 }
 
 }  // namespace

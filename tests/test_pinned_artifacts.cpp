@@ -90,8 +90,8 @@ TEST(PinnedArtifacts, ServiceStageKeys) {
   const std::uint64_t expected[] = {
       0x38ee0fe052376defULL,  // characterize
       0xdafb6c8a3f87b991ULL,  // schedule
-      0xe938bd2d046c2e35ULL,  // map
-      0xa2f3f96f6a61818aULL,  // bitstream
+      0xe8ea88bafa7df8edULL,  // map
+      0x22d329b7e6d3a326ULL,  // bitstream
   };
   const std::vector<svc::StageTrace>& stages = outcomes[0].stages;
   ASSERT_EQ(stages.size(), std::size(expected));

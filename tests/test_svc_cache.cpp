@@ -199,11 +199,6 @@ TEST(CacheKeys, EveryBackendFieldMovesMapKey) {
   expect_moves("route.capacity", mutated_key([](auto& o) {
                  o.route.channel_capacity += 0.5;
                }));
-  expect_moves("route.max_iterations", mutated_key([](auto& o) {
-                 o.route.max_iterations += 1;
-               }));
-  expect_moves("detailed_router",
-               mutated_key([](auto& o) { o.detailed_router = true; }));
   // The upstream netlist digest is part of the address.
   expect_moves("module_digest", map_key(kDigest ^ 1, target, base));
   // And the target model reaches the map key too.

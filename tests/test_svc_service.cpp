@@ -322,6 +322,22 @@ TEST(Service, RequestWithoutSourceOrNetlistIsRejected) {
   EXPECT_EQ(service.stats().failed, 1u);
 }
 
+// The backend rejects a channel capacity of 0; the failed map stage caches
+// nothing, so the bitstream stage never runs.
+TEST(Service, InvalidBackendOptionsInsertNoMapEntry) {
+  CompileService service(serial_options());
+  CompileRequest request = corpus::source_request(1, "t");
+  request.backend.route.channel_capacity = 0.0;
+  const CompileOutcome outcome = service.run({request}).front();
+  EXPECT_EQ(outcome.status.code(), ErrorCode::kInvalidArgument);
+  ASSERT_FALSE(outcome.stages.empty());
+  const StageTrace& last = outcome.stages.back();
+  EXPECT_EQ(last.stage, Stage::kMap);
+  EXPECT_FALSE(service.cache().contains(Stage::kMap, last.key));
+  EXPECT_TRUE(outcome.bitstream.empty());
+  EXPECT_EQ(service.stats().failed, 1u);
+}
+
 TEST(Service, TenantStatsTrackSubmissionAndDispatch) {
   CompileService service(serial_options());
   std::vector<CompileRequest> requests;
