@@ -96,8 +96,8 @@ NetlistSeuResult run_netlist_seu_campaign_sliced(const hw::Module& module,
                                                  ThreadPool* pool = nullptr);
 
 /// Order-sensitive FNV-1a fingerprint of a campaign result — the equality
-/// token the tests, chaos soak and CI bench-smoke gate compare between the
-/// serial oracle and the sliced engine (and between repeated runs).
+/// token the tests and the chaos soak compare between the serial oracle and
+/// the sliced engine (and between repeated runs).
 std::uint64_t fingerprint(const NetlistSeuResult& result);
 
 }  // namespace hermes::fault

@@ -1,11 +1,12 @@
 // Checkpoint ring for rollback recovery.
 //
 // The FDIR recovery rung below a full reboot is "restore the last known-good
-// state": the CoW SocSnapshot machinery (11.5x cheaper than a cold boot per
-// BENCH_chaos.json) makes periodic checkpoints affordable, and this manager
-// adds the discipline that makes them *trustworthy* — a checkpoint is only
-// taken when the system is quiescent and digest-clean, so the ring never
-// holds a torn or latently corrupt restore target.
+// state": the CoW SocSnapshot machinery (a rollback through it is at least
+// 5x cheaper than a cold reboot, tests/test_perf_gates.cpp) makes periodic
+// checkpoints affordable, and this manager adds the discipline that makes
+// them *trustworthy* — a checkpoint is only taken when the system is
+// quiescent and digest-clean, so the ring never holds a torn or latently
+// corrupt restore target.
 #pragma once
 
 #include <cstdint>

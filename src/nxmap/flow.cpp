@@ -15,11 +15,6 @@ Result<MapResult> run_backend_map(const hw::Module& module,
     return Status::Error(ErrorCode::kInvalidArgument,
                          "channel capacity must be finite and positive");
   }
-  if (!std::isfinite(options.target_period_ns) ||
-      options.target_period_ns < 0) {
-    return Status::Error(ErrorCode::kInvalidArgument,
-                         "target period must be finite and non-negative");
-  }
   MapResult result;
   // Logic-synthesis cleanup: drop logic that drives nothing before paying
   // for it in mapping, placement and routing. HLS output is already swept

@@ -20,8 +20,9 @@
 
 namespace hermes::nx {
 
-/// run_backend_map rejects a target that is negative or not finite, and a
-/// channel capacity that is not finite and positive (kInvalidArgument).
+/// run_backend_map rejects a channel capacity that is not finite and
+/// positive, and its STA a target that is negative or not finite
+/// (kInvalidArgument).
 struct BackendOptions {
   double target_period_ns = 0.0;  ///< 0 = report-only STA
   PlaceOptions place;

@@ -1,6 +1,7 @@
 #include "nxmap/sta.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <queue>
 
 #include "common/strings.hpp"
@@ -12,6 +13,10 @@ Result<TimingReport> analyze_timing(const hw::Module& module,
                                     const Routing& routing,
                                     const NxDevice& device,
                                     double target_period_ns) {
+  if (!std::isfinite(target_period_ns) || target_period_ns < 0) {
+    return Status::Error(ErrorCode::kInvalidArgument,
+                         "target period must be finite and non-negative");
+  }
   const auto& cells = module.cells();
 
   // Arrival time per wire. Sources (register/RAM outputs, ports, consts)

@@ -26,7 +26,8 @@ struct TimingReport {
   std::vector<std::string> critical_path;  ///< cell names along the worst path
 };
 
-/// Runs STA. `target_period_ns` == 0 skips the timing check (report only).
+/// Runs STA. `target_period_ns` == 0 skips the timing check (report only);
+/// a target that is negative or not finite is kInvalidArgument.
 Result<TimingReport> analyze_timing(const hw::Module& module,
                                     const MappedDesign& design,
                                     const Routing& routing,

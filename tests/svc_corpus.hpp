@@ -1,7 +1,7 @@
 // Shared compile-service request corpus.
 //
 // One deterministic generator feeds the differential cache-oracle suite, the
-// service scheduling tests, the soak families and bench_svc, so every
+// service scheduling tests, the soak families and the perf gate, so every
 // consumer exercises the same mix: source-level jobs drawn from the five app
 // kernel families with varied geometry/constraints, and netlist-level jobs
 // drawn from the engine fuzz generator (tests/netlist_fuzz.hpp). Requests are

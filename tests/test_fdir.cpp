@@ -28,13 +28,14 @@ namespace {
 // Shared fixtures
 // ---------------------------------------------------------------------------
 
-std::vector<std::uint8_t> test_bitstream() {
+/// A three-frame image; another `salt` gives another configuration.
+std::vector<std::uint8_t> test_bitstream(std::uint32_t salt = 0xC3) {
   std::vector<nx::BitstreamFrame> frames(3);
   for (std::size_t f = 0; f < frames.size(); ++f) {
     frames[f].column = static_cast<std::uint32_t>(2 * f);
     for (std::size_t w = 0; w < 6 + f * 3; ++w) {
       frames[f].words.push_back(
-          static_cast<std::uint32_t>((f << 24) ^ (w * 0x01000193u) ^ 0xC3));
+          static_cast<std::uint32_t>((f << 24) ^ (w * 0x01000193u) ^ salt));
     }
   }
   return nx::pack_raw_bitstream(/*device_id=*/0xE0E0, frames);
@@ -827,6 +828,39 @@ TEST(Supervisor, EndToEndDetectIsolateRollback) {
   (void)env.soc.scrub_efpga();
   supervisor.poll();
   EXPECT_EQ(env.soc.efpga_stats().scrub_silent, 0u);
+}
+
+/// The rollback rung on its own, episode after episode: each pair of
+/// uncorrectable eFPGA events is one rollback, and each rollback brings a
+/// re-programmed configuration back to the checkpoint's digest.
+TEST(Supervisor, EveryUncorrectableEpisodeRollsBackToTheCheckpoint) {
+  constexpr std::uint64_t kEpisodes = 8;
+  boot::BootEnvironment env;
+  boot_programmed(env);
+  FdirBus bus(1024);
+  FdirConfig config;
+  config.max_restart_attempts = 0;
+  config.max_rollbacks = ~0u;
+  FdirSupervisor supervisor(config, bus);
+  supervisor.attach_soc(&env.soc, nullptr, {});
+  ASSERT_TRUE(supervisor.checkpoint().ok());
+  const std::uint64_t checkpoint_digest = env.soc.efpga_config_digest();
+
+  for (std::uint64_t episode = 0; episode < kEpisodes; ++episode) {
+    SCOPED_TRACE(episode);
+    ASSERT_TRUE(
+        env.soc.program_efpga(test_bitstream(0x100 + episode)).ok());
+    ASSERT_NE(env.soc.efpga_config_digest(), checkpoint_digest);
+    bus.publish(make_event(Layer::kEfpga, Severity::kUncorrectable, 0,
+                           2 * episode));
+    bus.publish(make_event(Layer::kEfpga, Severity::kUncorrectable, 1,
+                           2 * episode + 1));
+    supervisor.poll();
+    EXPECT_EQ(supervisor.report().rollbacks, episode + 1);
+    EXPECT_EQ(supervisor.report().restarts, 0u);
+    EXPECT_EQ(env.soc.efpga_config_digest(), checkpoint_digest);
+  }
+  EXPECT_EQ(supervisor.mode(), FdirMode::kDegraded);
 }
 
 TEST(Supervisor, RestartRungHealsInPlaceWithoutRollback) {

@@ -587,6 +587,34 @@ TEST(Sta, ReportsCriticalPathAndChecksTarget) {
   EXPECT_LT(impossible.value().slack_ns, 0.0);
 }
 
+// Callers that run the sub-stages themselves reach STA without
+// run_backend_map, so STA checks its own target.
+TEST(Sta, RejectsOutOfRangeTarget) {
+  const NxDevice device = make_device(hls::ng_ultra());
+  const hw::Module m = small_design();
+  auto mapped = techmap(m, device);
+  ASSERT_TRUE(mapped.ok());
+  const Placement placement = place(m, mapped.value(), device);
+  const Routing routing = route(m, mapped.value(), placement, device);
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const struct {
+    double target;
+    bool ok;
+  } cases[] = {
+      {10.0, true}, {0.0, true},   {0.01, true}, {-5.0, false},
+      {-0.0, true}, {nan, false},  {inf, false}, {-inf, false},
+  };
+  for (const auto& c : cases) {
+    auto timing = analyze_timing(m, mapped.value(), routing, device, c.target);
+    EXPECT_EQ(timing.ok(), c.ok) << c.target;
+    if (!c.ok) {
+      EXPECT_EQ(timing.status().code(), ErrorCode::kInvalidArgument)
+          << c.target;
+    }
+  }
+}
+
 /// Names every cell after its index, so a critical path maps back to cells.
 void name_cells(hw::Module& m) {
   std::vector<hw::Cell> cells = m.cells();

@@ -293,23 +293,33 @@ TEST(CampaignSliced, HlsAcceleratorCampaignBitIdenticalToSerial) {
   ASSERT_TRUE(flow.ok());
   const hw::Module& module = flow.value().fsmd.module;
 
-  NetlistSeuPlan plan;
-  plan.replicas = 80;  // crosses the first batch boundary
-  plan.cycles_before = 8;
-  plan.cycles_after = 48;
-  plan.base_seed = 5;
-  plan.inputs = {{"start", 1}};
+  // 80 replicas cross the first batch boundary; 126 are two full batches
+  // with a longer watch window, the plan bench_fault_campaign times.
+  NetlistSeuPlan crossing;
+  crossing.replicas = 80;
+  crossing.cycles_before = 8;
+  crossing.cycles_after = 48;
+  crossing.base_seed = 5;
+  crossing.inputs = {{"start", 1}};
+  NetlistSeuPlan full_batches;
+  full_batches.replicas = 126;
+  full_batches.cycles_before = 8;
+  full_batches.cycles_after = 64;
+  full_batches.inputs = {{"start", 1}};
 
   ThreadPool serial_pool(0);
-  const NetlistSeuResult serial =
-      run_netlist_seu_campaign(module, plan, &serial_pool);
-  const NetlistSeuResult sliced =
-      run_netlist_seu_campaign_sliced(module, plan, &serial_pool);
-  expect_same_result(serial, sliced);
-  // A real accelerator must show both masked and propagated upsets for the
-  // parity check to mean anything.
-  EXPECT_GT(serial.diverged, 0u);
-  EXPECT_LT(serial.diverged, plan.replicas);
+  for (const NetlistSeuPlan& plan : {crossing, full_batches}) {
+    SCOPED_TRACE(plan.replicas);
+    const NetlistSeuResult serial =
+        run_netlist_seu_campaign(module, plan, &serial_pool);
+    const NetlistSeuResult sliced =
+        run_netlist_seu_campaign_sliced(module, plan, &serial_pool);
+    expect_same_result(serial, sliced);
+    // A real accelerator must show both masked and propagated upsets for
+    // the parity check to mean anything.
+    EXPECT_GT(serial.diverged, 0u);
+    EXPECT_LT(serial.diverged, plan.replicas);
+  }
 }
 
 }  // namespace
