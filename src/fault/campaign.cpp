@@ -1,6 +1,7 @@
 #include "fault/campaign.hpp"
 
 #include <algorithm>
+#include <mutex>
 
 #include "common/fnv.hpp"
 #include "fault/seu.hpp"
@@ -27,6 +28,45 @@ RegisterUpset draw_register_upset(const hw::Module& module,
   upset.bit = static_cast<unsigned>(
       rng.next_below(module.wire_width(upset.target)));
   return upset;
+}
+
+/// Checked once, before fan-out: an unknown name would make set_input throw
+/// inside a pool worker, which ends the process.
+Status check_plan_inputs(const hw::Module& module, const NetlistSeuPlan& plan) {
+  for (const auto& [name, value] : plan.inputs) {
+    const auto& ports = module.ports();
+    if (std::none_of(ports.begin(), ports.end(), [&](const hw::Port& port) {
+          return port.is_input && port.name == name;
+        })) {
+      return Status::Error(ErrorCode::kInvalidArgument,
+                           "SEU plan drives '" + name +
+                               "', which is not an input port of " +
+                               module.name());
+    }
+  }
+  return Status::Ok();
+}
+
+/// The status of a simulator that rejected the module. Every replica builds
+/// its simulator from the same module, so whichever records it, it is the
+/// same status.
+struct Rejection {
+  std::mutex mutex;
+  Status status;
+  void record(const Status& rejected) {
+    std::lock_guard<std::mutex> lock(mutex);
+    status = rejected;
+  }
+};
+
+/// Tallies the replicas of a campaign no simulator rejected; a rejected one
+/// carries only its status, never clean-looking default outcomes.
+NetlistSeuResult finish(NetlistSeuResult result, const Status& rejected) {
+  if (!rejected.ok()) return NetlistSeuResult{{}, 0, rejected};
+  for (const NetlistSeuOutcome& outcome : result.per_replica) {
+    if (outcome.diverged) ++result.diverged;
+  }
+  return result;
 }
 
 }  // namespace
@@ -78,13 +118,18 @@ NetlistSeuResult run_netlist_seu_campaign(const hw::Module& module,
                                           const NetlistSeuPlan& plan,
                                           ThreadPool* pool,
                                           const hw::SimOptions& sim) {
+  if (Status inputs = check_plan_inputs(module, plan); !inputs.ok()) {
+    return NetlistSeuResult{{}, 0, inputs};
+  }
   NetlistSeuResult result;
   result.per_replica.assign(plan.replicas, NetlistSeuOutcome{});
+  Rejection rejection;
 
   const auto run_replica = [&](std::size_t replica) {
     hw::Simulator golden(module, sim);
     hw::Simulator faulty(module, sim);
-    if (!golden.status().ok() || !faulty.status().ok()) return;
+    if (!golden.status().ok()) return rejection.record(golden.status());
+    if (!faulty.status().ok()) return rejection.record(faulty.status());
     for (const auto& [port, value] : plan.inputs) {
       golden.set_input(port, value);
       faulty.set_input(port, value);
@@ -132,22 +177,22 @@ NetlistSeuResult run_netlist_seu_campaign(const hw::Module& module,
   };
   if (pool == nullptr) pool = &ThreadPool::global();
   pool->parallel_for(plan.replicas, run_replica);
-
-  for (const NetlistSeuOutcome& outcome : result.per_replica) {
-    if (outcome.diverged) ++result.diverged;
-  }
-  return result;
+  return finish(std::move(result), rejection.status);
 }
 
 NetlistSeuResult run_netlist_seu_campaign_sliced(const hw::Module& module,
                                                  const NetlistSeuPlan& plan,
                                                  ThreadPool* pool) {
+  if (Status inputs = check_plan_inputs(module, plan); !inputs.ok()) {
+    return NetlistSeuResult{{}, 0, inputs};
+  }
   NetlistSeuResult result;
   result.per_replica.assign(plan.replicas, NetlistSeuOutcome{});
+  Rejection rejection;
 
   const auto run_batch = [&](std::size_t batch) {
     hw::SlicedSimulator sim(module);
-    if (!sim.status().ok()) return;
+    if (!sim.status().ok()) return rejection.record(sim.status());
     for (const auto& [port, value] : plan.inputs) {
       sim.set_input(port, value);
     }
@@ -205,11 +250,7 @@ NetlistSeuResult run_netlist_seu_campaign_sliced(const hw::Module& module,
   };
   if (pool == nullptr) pool = &ThreadPool::global();
   pool->parallel_for(batch_count(plan.replicas), run_batch);
-
-  for (const NetlistSeuOutcome& outcome : result.per_replica) {
-    if (outcome.diverged) ++result.diverged;
-  }
-  return result;
+  return finish(std::move(result), rejection.status);
 }
 
 std::uint64_t fingerprint(const NetlistSeuResult& result) {

@@ -13,6 +13,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/status.hpp"
 #include "common/threadpool.hpp"
 #include "fault/scrub_memory.hpp"
 #include "hw/netlist.hpp"
@@ -68,6 +69,10 @@ struct NetlistSeuOutcome {
 struct NetlistSeuResult {
   std::vector<NetlistSeuOutcome> per_replica;
   std::size_t diverged = 0;  ///< replicas whose upset propagated to state
+  /// kInvalidArgument for a plan input that is not an input port, or the
+  /// simulator's status when it rejects the module; either way no replica
+  /// ran and `per_replica` is empty.
+  Status status;
 };
 
 /// Runs the plan against `module` on `pool` (nullptr = process-wide pool).

@@ -12,12 +12,11 @@ namespace {
 class FsmdBuilder {
  public:
   FsmdBuilder(const ir::Function& function, const Schedule& schedule,
-              const Binding& binding, const FsmdOptions& options)
+              const Binding& binding)
       : f_(function),
         schedule_(schedule),
         binding_(binding),
-        module_(options.module_name.empty() ? function.name()
-                                            : options.module_name) {}
+        module_(function.name()) {}
 
   Result<FsmdResult> build() {
     needs_reg_ = regs_needing_registers(f_);
@@ -565,9 +564,8 @@ class FsmdBuilder {
 
 Result<FsmdResult> generate_fsmd(const ir::Function& function,
                                  const Schedule& schedule,
-                                 const Binding& binding,
-                                 const FsmdOptions& options) {
-  return FsmdBuilder(function, schedule, binding, options).build();
+                                 const Binding& binding) {
+  return FsmdBuilder(function, schedule, binding).build();
 }
 
 }  // namespace hermes::hls

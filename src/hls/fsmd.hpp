@@ -17,8 +17,7 @@
 // cell reaches an output port or a RAM write (unread registers, their
 // enable trees, unused read ports and argument latches are gone) and no
 // wire dangles. It is the netlist the Verilog, the digest, cosim, SEU
-// campaigns and the backend all see; the backend's own sweep removes
-// nothing from it.
+// campaigns and the backend all see; the backend maps it as given.
 #pragma once
 
 #include "common/status.hpp"
@@ -28,10 +27,6 @@
 #include "ir/ir.hpp"
 
 namespace hermes::hls {
-
-struct FsmdOptions {
-  std::string module_name;  ///< defaults to the function name
-};
 
 struct FsmdResult {
   hw::Module module{"<empty>"};
@@ -51,7 +46,6 @@ struct FsmdResult {
 ///   - deassert `start` to return to IDLE.
 Result<FsmdResult> generate_fsmd(const ir::Function& function,
                                  const Schedule& schedule,
-                                 const Binding& binding,
-                                 const FsmdOptions& options = {});
+                                 const Binding& binding);
 
 }  // namespace hermes::hls

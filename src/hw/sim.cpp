@@ -282,9 +282,7 @@ void Simulator::set_input(WireId wire, std::uint64_t value) {
 }
 
 std::uint64_t Simulator::get_output(std::string_view port_name) const {
-  const WireId wire = module_.port_wire(port_name);
-  assert(wire != kNoWire && "unknown output port");
-  return values_[wire];
+  return get(module_.port_wire(port_name));
 }
 
 std::uint64_t Simulator::eval_op(const CombOp& op) const {
@@ -417,9 +415,16 @@ void Simulator::step() {
 
 Result<std::uint64_t> Simulator::run_until(std::string_view port_name,
                                            std::uint64_t max_cycles) {
+  const WireId wire = module_.port_wire(port_name);
+  if (wire == kNoWire) {
+    return Status::Error(ErrorCode::kInvalidArgument,
+                         format("no port named %.*s",
+                                static_cast<int>(port_name.size()),
+                                port_name.data()));
+  }
   const std::uint64_t start = cycles_;
   eval_comb();  // lazy: settles only if an input changed since the last settle
-  while (get_output(port_name) == 0) {
+  while (get(wire) == 0) {
     if (cycles_ - start >= max_cycles) {
       return Status::Error(
           ErrorCode::kDeadlineExceeded,

@@ -140,10 +140,11 @@ class Simulator {
   /// Runs until `port_name` (1-bit output, e.g. "done") reads 1, at most
   /// `max_cycles` cycles. Returns the number of cycles consumed, or
   /// kDeadlineExceeded if the bound was hit (a stuck circuit ends in an
-  /// error, never a hang).
+  /// error, never a hang). kInvalidArgument if there is no such port.
   Result<std::uint64_t> run_until(std::string_view port_name,
                                   std::uint64_t max_cycles);
 
+  /// Checked reads: an unknown wire or port name throws std::out_of_range.
   [[nodiscard]] std::uint64_t get(WireId wire) const { return values_.at(wire); }
   [[nodiscard]] std::uint64_t get_output(std::string_view port_name) const;
 

@@ -148,15 +148,13 @@ std::uint64_t SlicedSimulator::extract_lane_raw(const std::uint64_t* words,
 }
 
 std::uint64_t SlicedSimulator::get_lane(WireId wire, unsigned lane) const {
-  return extract_lane_raw(slices_.data() + slice_off_[wire],
+  return extract_lane_raw(slices_.data() + slice_off_.at(wire),
                           module().wire_width(wire), lane);
 }
 
 std::uint64_t SlicedSimulator::get_output_lane(std::string_view port_name,
                                                unsigned lane) const {
-  const WireId wire = module().port_wire(port_name);
-  assert(wire != kNoWire && "unknown output port");
-  return get_lane(wire, lane);
+  return get_lane(module().port_wire(port_name), lane);
 }
 
 std::uint64_t SlicedSimulator::lane_divergence(WireId wire) const {

@@ -61,7 +61,8 @@ class SlicedSimulator {
   /// settle again. Identical two-phase semantics to hw::Simulator::step().
   void step();
 
-  /// Value of `wire` on one lane, reassembled from the slice words.
+  /// Value of `wire` on one lane, reassembled from the slice words. Checked,
+  /// as Simulator::get: an unknown wire or port name throws std::out_of_range.
   [[nodiscard]] std::uint64_t get_lane(WireId wire, unsigned lane) const;
   [[nodiscard]] std::uint64_t get_output_lane(std::string_view port_name,
                                               unsigned lane) const;

@@ -16,23 +16,14 @@ Result<MapResult> run_backend_map(const hw::Module& module,
                          "channel capacity must be finite and positive");
   }
   MapResult result;
-  // Logic-synthesis cleanup: drop logic that drives nothing before paying
-  // for it in mapping, placement and routing. HLS output is already swept
-  // (hls/fsmd.hpp), so this only trims netlists built elsewhere, such as
-  // TMR-hardened ones.
-  result.synthesized = module;
-  hw::sweep_dead_cells(result.synthesized);
-
-  auto mapped = techmap(result.synthesized, device);
+  auto mapped = techmap(module, device);
   if (!mapped.ok()) return mapped.status();
   result.mapped = mapped.take();
 
-  result.placement =
-      place(result.synthesized, result.mapped, device, options.place);
-  result.routing = route(result.synthesized, result.mapped, result.placement,
-                         device, options.route);
-  auto timing = analyze_timing(result.synthesized, result.mapped,
-                               result.routing, device,
+  result.placement = place(module, result.mapped, device, options.place);
+  result.routing =
+      route(module, result.mapped, result.placement, device, options.route);
+  auto timing = analyze_timing(module, result.mapped, result.routing, device,
                                options.target_period_ns);
   if (!timing.ok()) return timing.status();
   result.timing = timing.take();
@@ -40,10 +31,10 @@ Result<MapResult> run_backend_map(const hw::Module& module,
   return result;
 }
 
-Result<PackResult> pack_backend(const MapResult& map, const NxDevice& device) {
+Result<PackResult> pack_backend(const MapResult& map, const hw::Module& module,
+                               const NxDevice& device) {
   PackResult result;
-  result.bitstream =
-      pack_bitstream(map.synthesized, map.mapped, map.placement, device);
+  result.bitstream = pack_bitstream(module, map.mapped, map.placement, device);
   // Pack self-check: the image BL1 will program must verify here first.
   auto info = verify_bitstream(result.bitstream);
   if (!info.ok()) {
@@ -60,7 +51,7 @@ Result<BackendResult> run_backend(const hw::Module& module,
                                   const BackendOptions& options) {
   auto map = run_backend_map(module, device, options);
   if (!map.ok()) return map.status();
-  auto pack = pack_backend(map.value(), device);
+  auto pack = pack_backend(map.value(), module, device);
   if (!pack.ok()) return pack.status();
   return BackendResult{map.take(), pack.take()};
 }

@@ -1,10 +1,11 @@
 // The complete NXmap backend flow (paper Fig. 3):
-//   HDL netlist -> logic synthesis/tech map -> place -> route -> STA ->
-//   bitstream, with a power estimate.
+//   HDL netlist -> tech map -> place -> route -> STA -> bitstream, with a
+//   power estimate.
 //
 // "Seamless integration between Bambu and NXmap through the automatic
 // generation of backend synthesis scripts" — here the integration is a
-// direct API call taking the hw::Module the HLS back-end produced.
+// direct API call taking the hw::Module the HLS back-end produced, mapped
+// as given: producers emit live netlists, so the backend has no sweep.
 #pragma once
 
 #include <string>
@@ -31,12 +32,9 @@ struct BackendOptions {
 
 /// Map/place/route/STA/power — everything except bitstream packing. The
 /// compile service (src/svc/) caches this as the "mapped netlist" artifact;
-/// pack_backend produces the bitstream from it alone, so a warm map entry
-/// skips synthesis, placement and routing entirely.
+/// pack_backend produces the bitstream from it and the module it was mapped
+/// from, so a warm map entry skips mapping, placement and routing entirely.
 struct MapResult {
-  /// Post dead-cell-sweep module — the netlist placement/routing/packing
-  /// actually operate on (pack_backend needs it verbatim).
-  hw::Module synthesized{"<empty>"};
   MappedDesign mapped;
   Placement placement;
   Routing routing;
@@ -61,14 +59,15 @@ Result<BackendResult> run_backend(const hw::Module& module,
                                   const NxDevice& device,
                                   const BackendOptions& options = {});
 
-/// Stage 1: logic-synthesis cleanup, tech mapping, placement, routing, STA
-/// and the power estimate.
+/// Stage 1: tech mapping, placement, routing, STA and the power estimate of
+/// `module` as given.
 Result<MapResult> run_backend_map(const hw::Module& module,
                                   const NxDevice& device,
                                   const BackendOptions& options = {});
 
-/// Stage 2: packs and self-verifies the bitstream for a mapped design.
-Result<PackResult> pack_backend(const MapResult& map, const NxDevice& device);
+/// Stage 2: packs and self-verifies the bitstream of `module` mapped as `map`.
+Result<PackResult> pack_backend(const MapResult& map, const hw::Module& module,
+                                const NxDevice& device);
 
 /// Human-readable end-of-flow report (utilization, timing, power, bitstream).
 std::string backend_report(const BackendResult& result, const NxDevice& device);

@@ -127,8 +127,8 @@ std::uint64_t schedule(std::size_t source_bytes, const hls::FlowResult& flow) {
          2 * flow.schedule.num_states + flow.fsmd.module.cells().size();
 }
 
-std::uint64_t map(const nx::MapResult& map) {
-  return 8 * map.synthesized.cells().size() + map.mapped.utilization.luts;
+std::uint64_t map(const hw::Module& module, const nx::MapResult& map) {
+  return 8 * module.cells().size() + map.mapped.utilization.luts;
 }
 
 std::uint64_t bitstream(std::size_t image_bytes) {

@@ -70,7 +70,7 @@ class KeyBuilder {
 
 /// One compile job. Source-level jobs carry a C kernel through the full
 /// flow; netlist-level jobs (source empty, module set) enter at the map
-/// stage — the shape DSE drivers and the fuzz oracles use.
+/// stage, swept of dead cells — the shape DSE drivers and fuzz oracles use.
 struct CompileRequest {
   std::string tenant = "default";
   std::string source;
@@ -104,7 +104,7 @@ struct CompileOutcome {
 
   // ---- artifacts (identical warm or cold — the cache-oracle invariant) ----
   std::size_t characterization_points = 0;
-  std::uint64_t netlist_digest = 0;  ///< hw::Module::digest() of the design
+  std::uint64_t netlist_digest = 0;  ///< Module::digest() of what is mapped
   unsigned fsm_states = 0;
   nx::TimingReport timing;
   double power_total_mw = 0.0;
@@ -139,7 +139,7 @@ inline constexpr std::uint64_t kHitCycles = 1;  ///< cache hit, any stage
 
 std::uint64_t characterize(std::size_t grid_points);
 std::uint64_t schedule(std::size_t source_bytes, const hls::FlowResult& flow);
-std::uint64_t map(const nx::MapResult& map);
+std::uint64_t map(const hw::Module& module, const nx::MapResult& map);
 std::uint64_t bitstream(std::size_t image_bytes);
 
 }  // namespace cost

@@ -41,10 +41,11 @@ std::vector<std::uint8_t> image_of_flow(const hls::FlowResult& flow) {
   return image;
 }
 
-std::vector<std::uint8_t> image_of_map(const nx::MapResult& map) {
+std::vector<std::uint8_t> image_of_map(std::uint64_t netlist_digest,
+                                       const nx::MapResult& map) {
   std::vector<std::uint8_t> image;
   bytes::Writer w(image);
-  w.u64(map.synthesized.digest());
+  w.u64(netlist_digest);
   w.u64(map.mapped.utilization.luts);
   w.u64(map.mapped.utilization.ffs);
   w.u64(map.mapped.utilization.dsps);
@@ -255,22 +256,31 @@ void CompileService::execute(JobRecord& record) {
                                "request carries neither source nor netlist");
     return;
   }
-  if (out.netlist_digest == 0) out.netlist_digest = module->digest();
+  if (req.source.empty()) {
+    // The backend maps its input as given: sweep a foreign netlist once, here.
+    auto live = std::make_shared<hw::Module>(*module);
+    hw::sweep_dead_cells(*live);
+    module = std::move(live);
+    out.netlist_digest = module->digest();
+  }
 
   const nx::NxDevice device = nx::make_device(req.flow.target);
   const std::uint64_t map_stage_key =
-      map_key(module->digest(), req.flow.target, req.backend);
+      map_key(out.netlist_digest, req.flow.target, req.backend);
   const auto map = run_stage<nx::MapResult>(
       record, Stage::kMap, map_stage_key,
       [&] { return nx::run_backend_map(*module, device, req.backend); },
-      image_of_map, cost::map);
+      [&](const nx::MapResult& made) {
+        return image_of_map(out.netlist_digest, made);
+      },
+      [&](const nx::MapResult& made) { return cost::map(*module, made); });
   if (map == nullptr) return;
   out.timing = map->timing;
   out.power_total_mw = map->power.total_mw;
 
   const auto pack = run_stage<nx::PackResult>(
       record, Stage::kBitstream, bitstream_key(map_stage_key),
-      [&] { return nx::pack_backend(*map, device); }, image_of_pack,
+      [&] { return nx::pack_backend(*map, *module, device); }, image_of_pack,
       [](const nx::PackResult& made) {
         return cost::bitstream(made.bitstream.size());
       });

@@ -13,6 +13,7 @@
 
 #include "apps/kernels.hpp"
 #include "hls/flow.hpp"
+#include "hw/tmr_transform.hpp"
 #include "netlist_fuzz.hpp"
 #include "route_oracle.hpp"
 #include "nxmap/flow.hpp"
@@ -953,18 +954,26 @@ TEST(LiveNetlist, GeneratedFsmdHasNothingToSweep) {
   }
 }
 
-TEST(LiveNetlist, BackendSynthesizesTheFsmdUnchanged) {
-  const NxDevice device = make_device(hls::ng_ultra());
+// The backend has no sweep, so a TMR-hardened accelerator must be live as
+// built: every replica and voter feeds the original register's q wire.
+TEST(LiveNetlist, TmrHardenedFsmdHasNothingToSweep) {
   for (const apps::KernelSpec& kernel : apps::all_kernels()) {
     hls::FlowOptions options;
     options.top = kernel.name;
     auto flow = hls::run_flow(kernel.source, options);
     ASSERT_TRUE(flow.ok()) << kernel.name;
-    auto mapped = run_backend_map(flow.value().fsmd.module, device);
-    ASSERT_TRUE(mapped.ok()) << kernel.name;
-    EXPECT_EQ(mapped.value().synthesized.digest(),
-              flow.value().fsmd.module.digest())
-        << kernel.name;
+    for (bool self_healing : {false, true}) {
+      const std::string label =
+          kernel.name + (self_healing ? " self-healing" : " plain");
+      hw::TmrOptions tmr;
+      tmr.self_healing = self_healing;
+      const hw::Module hardened =
+          hw::tmr_transform(flow.value().fsmd.module, nullptr, tmr);
+      ASSERT_TRUE(hardened.validate().ok()) << label;
+      hw::Module swept = hardened;
+      EXPECT_EQ(hw::sweep_dead_cells(swept), 0u) << label;
+      EXPECT_EQ(swept.wire_count(), hardened.wire_count()) << label;
+    }
   }
 }
 
@@ -1083,14 +1092,14 @@ TEST(RouteOracle, BoundsEstimatorOnCensus) {
       ASSERT_TRUE(flow.ok()) << kernel.name << " " << period;
       BackendOptions backend_options;
       backend_options.target_period_ns = period;
-      auto map =
-          run_backend_map(flow.value().fsmd.module, device, backend_options);
+      const hw::Module& module = flow.value().fsmd.module;
+      auto map = run_backend_map(module, device, backend_options);
       ASSERT_TRUE(map.ok()) << kernel.name << " " << period;
       const MapResult& estimate = map.value();
       const oracle::OracleRoute routed = oracle::pathfinder(
-          estimate.synthesized, estimate.mapped, estimate.placement, device);
-      auto timing = analyze_timing(estimate.synthesized, estimate.mapped,
-                                   routed.routing, device, period);
+          module, estimate.mapped, estimate.placement, device);
+      auto timing = analyze_timing(module, estimate.mapped, routed.routing,
+                                   device, period);
       ASSERT_TRUE(timing.ok()) << kernel.name << " " << period;
       const double estimate_fmax = estimate.timing.fmax_mhz;
       const double oracle_fmax = timing.value().fmax_mhz;

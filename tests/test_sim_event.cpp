@@ -12,6 +12,7 @@
 // mul/div corner constants and same-cycle RAM read/write collisions.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -204,6 +205,36 @@ TEST(SimEngineDifferential, LazySettleKeepsObservableSemantics) {
   }
 }
 
+// A name that is not a port is an error on every engine, never a read at
+// kNoWire: the assert that guarded these lookups is compiled out in Release.
+TEST(SimPorts, UnknownPortNamesAreChecked) {
+  Module m("ports");
+  const WireId in = m.add_wire(1, "in");
+  m.add_input(in, "in");
+  m.add_output(in, "out");
+
+  for (SimBackend backend :
+       {SimBackend::kEvent, SimBackend::kSweep, SimBackend::kJit}) {
+    SimOptions options;
+    options.backend = backend;
+    Simulator sim(m, options);
+    ASSERT_TRUE(sim.status().ok());
+    EXPECT_THROW((void)sim.get_output("missing"), std::out_of_range);
+    const Result<std::uint64_t> ran = sim.run_until("missing", 4);
+    EXPECT_EQ(ran.status().code(), ErrorCode::kInvalidArgument);
+    EXPECT_EQ(sim.cycles(), 0u);
+    sim.set_input("in", 1);
+    EXPECT_EQ(sim.run_until("out", 4).value(), 0u);
+  }
+
+  SlicedSimulator sliced(m);
+  ASSERT_TRUE(sliced.status().ok());
+  EXPECT_THROW((void)sliced.get_output_lane("missing", 0), std::out_of_range);
+  sliced.set_input("in", 1);
+  sliced.step();
+  EXPECT_EQ(sliced.get_output_lane("out", 5), 1u);
+}
+
 }  // namespace
 }  // namespace hermes::hw
 
@@ -321,6 +352,60 @@ TEST(Campaign, NetlistSeuParallelBitIdenticalToSerial) {
   for (const NetlistSeuOutcome& outcome : a.per_replica) {
     EXPECT_EQ(outcome.first_divergence_cycle, 0u);
   }
+}
+
+// A campaign on a netlist no replica could simulate reports that, not a
+// clean result: both runners used to return 0 diverged of `replicas`.
+TEST(Campaign, NetlistSeuReportsRejectedModule) {
+  hw::Module looped("comb_loop");
+  const hw::WireId a = looped.add_wire(8, "a");
+  const hw::WireId b = looped.add_wire(8, "b");
+  const hw::WireId one = looped.make_const(1, 8);
+  for (const auto& [in, out] : {std::pair{a, b}, std::pair{b, a}}) {
+    hw::Cell add;
+    add.kind = hw::CellKind::kAdd;
+    add.inputs = {in, one};
+    add.outputs = {out};
+    looped.add_cell(std::move(add));
+  }
+  looped.add_output(a, "a");
+  ASSERT_FALSE(hw::Simulator(looped).status().ok());
+
+  NetlistSeuPlan plan;
+  plan.replicas = 70;  // two sliced batches
+  ThreadPool threaded(2);
+  for (const NetlistSeuResult& result :
+       {run_netlist_seu_campaign(looped, plan, &threaded),
+        run_netlist_seu_campaign_sliced(looped, plan, &threaded)}) {
+    EXPECT_FALSE(result.status.ok());
+    EXPECT_TRUE(result.per_replica.empty());
+    EXPECT_EQ(result.diverged, 0u);
+  }
+}
+
+// Driving a name that is not an input port is an argument error, found
+// before any worker runs (set_input used to throw inside a pool worker,
+// which ended the process).
+TEST(Campaign, NetlistSeuRejectsPlanInputThatIsNotAnInputPort) {
+  const hw::Module module = make_counter_module();
+  ThreadPool threaded(2);
+  for (const char* name : {"start", "q"}) {  // absent; an output port
+    NetlistSeuPlan plan;
+    plan.replicas = 4;
+    plan.inputs = {{name, 1}};
+    for (const NetlistSeuResult& result :
+         {run_netlist_seu_campaign(module, plan, &threaded),
+          run_netlist_seu_campaign_sliced(module, plan, &threaded)}) {
+      EXPECT_EQ(result.status.code(), ErrorCode::kInvalidArgument) << name;
+      EXPECT_TRUE(result.per_replica.empty()) << name;
+    }
+  }
+  NetlistSeuPlan ok_plan;
+  ok_plan.replicas = 4;
+  const NetlistSeuResult result =
+      run_netlist_seu_campaign_sliced(module, ok_plan, &threaded);
+  EXPECT_TRUE(result.status.ok()) << result.status.to_string();
+  EXPECT_EQ(result.diverged, ok_plan.replicas);
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "nxmap/device.hpp"
 #include "svc/service.hpp"
 #include "svc_corpus.hpp"
 
@@ -336,6 +337,43 @@ TEST(Service, InvalidBackendOptionsInsertNoMapEntry) {
   EXPECT_FALSE(service.cache().contains(Stage::kMap, last.key));
   EXPECT_TRUE(outcome.bitstream.empty());
   EXPECT_EQ(service.stats().failed, 1u);
+}
+
+// The backend maps what it is given, so the service sweeps a netlist-level
+// module where it enters: the job's digest, map key and bitstream are those
+// of the live netlist, and the caller's module is left as it was.
+TEST(Service, NetlistLevelRequestIsSweptWhereItEnters) {
+  Rng rng(0x5EED);
+  CompileRequest request = corpus::netlist_request(rng, 7, "t");
+  hw::Module with_dead = *request.module;
+  const hw::WireId one = with_dead.make_const(1, 1);
+  const hw::WireId d = with_dead.add_wire(16, "dead_d");
+  const hw::WireId q = with_dead.make_register(d, one, 0, "dead_q");
+  hw::Cell add;
+  add.kind = hw::CellKind::kAdd;
+  add.inputs = {q, q};
+  add.outputs = {d};
+  with_dead.add_cell(std::move(add));
+  const std::uint64_t submitted_digest = with_dead.digest();
+  request.module = std::make_shared<hw::Module>(std::move(with_dead));
+
+  hw::Module live = *request.module;
+  ASSERT_GT(hw::sweep_dead_cells(live), 0u);
+  const nx::NxDevice device = nx::make_device(request.flow.target);
+  auto direct = nx::run_backend(live, device, request.backend);
+  ASSERT_TRUE(direct.ok()) << direct.status().to_string();
+
+  CompileService service(serial_options());
+  const CompileOutcome outcome = service.run({request}).front();
+  ASSERT_TRUE(outcome.status.ok()) << outcome.status.to_string();
+  EXPECT_EQ(outcome.netlist_digest, live.digest());
+  EXPECT_EQ(outcome.bitstream, direct.value().bitstream);
+  EXPECT_EQ(outcome.timing.fmax_mhz, direct.value().timing.fmax_mhz);
+  ASSERT_FALSE(outcome.stages.empty());
+  EXPECT_EQ(outcome.stages.front().stage, Stage::kMap);
+  EXPECT_EQ(outcome.stages.front().key,
+            map_key(live.digest(), request.flow.target, request.backend));
+  EXPECT_EQ(request.module->digest(), submitted_digest);
 }
 
 TEST(Service, TenantStatsTrackSubmissionAndDispatch) {
