@@ -20,6 +20,17 @@ ThreadPool::~ThreadPool() {
   for (std::thread& worker : workers_) worker.join();
 }
 
+void ThreadPool::participate(Job& job) {
+  try {
+    while (!job.failed.load(std::memory_order_relaxed) && (*job.pull)()) {
+    }
+  } catch (...) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (!job.error) job.error = std::current_exception();
+    job.failed.store(true, std::memory_order_relaxed);
+  }
+}
+
 void ThreadPool::worker_loop() {
   std::uint64_t seen_generation = 0;
   for (;;) {
@@ -35,18 +46,7 @@ void ThreadPool::worker_loop() {
       if (job == nullptr) continue;  // woke after the job already retired
       ++job->registered;
     }
-    if (job->pull != nullptr) {
-      // Queue mode: keep pulling until the queue reports itself drained.
-      while ((*job->pull)()) {
-      }
-    } else {
-      std::size_t index;
-      while ((index = job->next.fetch_add(1, std::memory_order_relaxed)) <
-             job->count) {
-        (*job->body)(index);
-        job->done.fetch_add(1, std::memory_order_acq_rel);
-      }
-    }
+    participate(*job);
     {
       std::lock_guard<std::mutex> lock(mutex_);
       --job->registered;
@@ -62,31 +62,13 @@ void ThreadPool::parallel_for(std::size_t count,
     for (std::size_t i = 0; i < count; ++i) body(i);
     return;
   }
-  std::lock_guard<std::mutex> submit(submit_mutex_);
-  Job job;
-  job.body = &body;
-  job.count = count;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    current_job_ = &job;
-    ++generation_;
-  }
-  work_cv_.notify_all();
-
-  // The submitting thread pulls indices alongside the workers.
-  std::size_t index;
-  while ((index = job.next.fetch_add(1, std::memory_order_relaxed)) < count) {
+  std::atomic<std::size_t> next{0};  // next index to claim
+  run_queue([&] {
+    const std::size_t index = next.fetch_add(1, std::memory_order_relaxed);
+    if (index >= count) return false;
     body(index);
-    job.done.fetch_add(1, std::memory_order_acq_rel);
-  }
-  {
-    std::unique_lock<std::mutex> lock(mutex_);
-    done_cv_.wait(lock, [&] {
-      return job.done.load(std::memory_order_acquire) == count &&
-             job.registered == 0;
-    });
-    current_job_ = nullptr;
-  }
+    return true;
+  });
 }
 
 void ThreadPool::run_queue(const std::function<bool()>& pull) {
@@ -106,13 +88,13 @@ void ThreadPool::run_queue(const std::function<bool()>& pull) {
   work_cv_.notify_all();
 
   // The submitting thread drains alongside the workers.
-  while (pull()) {
-  }
+  participate(job);
   {
     std::unique_lock<std::mutex> lock(mutex_);
     done_cv_.wait(lock, [&] { return job.registered == 0; });
     current_job_ = nullptr;
   }
+  if (job.error) std::rethrow_exception(job.error);
 }
 
 unsigned ThreadPool::default_workers() {

@@ -13,6 +13,7 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <mutex>
 #include <thread>
@@ -39,6 +40,8 @@ class ThreadPool {
   /// Runs body(0) .. body(count - 1), each exactly once, distributed over the
   /// workers and the calling thread; returns when all are done. Not
   /// reentrant: body must not itself call parallel_for on the same pool.
+  /// If a body throws, indices nobody has claimed yet are skipped, and once
+  /// every participant has left, the first exception is rethrown here.
   void parallel_for(std::size_t count,
                     const std::function<void(std::size_t)>& body);
 
@@ -48,7 +51,8 @@ class ThreadPool {
   /// returns once no participant is still inside a pull. `pull` must be
   /// thread-safe (pop-under-your-own-mutex-then-run); with zero workers it
   /// runs fully inline, the serial reference. Not reentrant, and `pull` must
-  /// not re-enter this pool.
+  /// not re-enter this pool. If a pull throws, every participant stops
+  /// pulling, and once all have left, the first exception is rethrown here.
   void run_queue(const std::function<bool()>& pull);
 
   /// Process-wide pool sized to the hardware (hardware_concurrency - 1
@@ -59,21 +63,20 @@ class ThreadPool {
   static unsigned default_workers();
 
  private:
-  /// Per-submission state, stack-allocated by parallel_for. Workers register
-  /// (under the pool mutex) before pulling indices and deregister after, so
-  /// parallel_for never returns — and the Job never dies — while any worker
+  /// Per-submission state, stack-allocated by run_queue. Workers register
+  /// (under the pool mutex) before pulling and deregister after, so
+  /// run_queue never returns — and the Job never dies — while any worker
   /// still holds a pointer to it.
   struct Job {
-    const std::function<void(std::size_t)>* body = nullptr;
-    /// run_queue submissions set `pull` instead of body/count: participants
-    /// loop on it until it reports the queue drained.
     const std::function<bool()>* pull = nullptr;
-    std::size_t count = 0;
-    std::atomic<std::size_t> next{0};  ///< next index to claim
-    std::atomic<std::size_t> done{0};  ///< completed bodies
-    unsigned registered = 0;           ///< workers inside the pull loop (mutex)
+    std::atomic<bool> failed{false};  ///< a pull threw: stop pulling
+    std::exception_ptr error;         ///< the first exception (mutex)
+    unsigned registered = 0;          ///< workers inside the pull loop (mutex)
   };
 
+  /// Pulls until `job` is drained or failed; records the first exception a
+  /// pull throws instead of letting it leave this thread.
+  void participate(Job& job);
   void worker_loop();
 
   std::vector<std::thread> workers_;

@@ -30,8 +30,9 @@ RegisterUpset draw_register_upset(const hw::Module& module,
   return upset;
 }
 
-/// Checked once, before fan-out: an unknown name would make set_input throw
-/// inside a pool worker, which ends the process.
+/// Checked once, before fan-out, so an unknown name is reported as a Status
+/// naming the port instead of the std::out_of_range set_input would throw
+/// (which the pool would rethrow on the caller).
 Status check_plan_inputs(const hw::Module& module, const NetlistSeuPlan& plan) {
   for (const auto& [name, value] : plan.inputs) {
     const auto& ports = module.ports();
@@ -94,11 +95,7 @@ ScrubCampaignResult run_scrub_campaign(const ScrubCampaignPlan& plan,
     Rng rng(replica_seed(plan.base_seed, replica));
     ScrubReport sum;
     for (unsigned interval = 0; interval < plan.intervals; ++interval) {
-      const ScrubReport report = memory.inject_and_scrub(plan.seu, rng);
-      sum.injected_upsets += report.injected_upsets;
-      sum.corrected += report.corrected;
-      sum.detected_uncorrectable += report.detected_uncorrectable;
-      sum.silent_corruptions += report.silent_corruptions;
+      sum.accumulate(memory.inject_and_scrub(plan.seu, rng));
     }
     result.per_replica[replica] = sum;
   };
@@ -106,10 +103,7 @@ ScrubCampaignResult run_scrub_campaign(const ScrubCampaignPlan& plan,
   pool->parallel_for(plan.replicas, run_replica);
 
   for (const ScrubReport& report : result.per_replica) {
-    result.total.injected_upsets += report.injected_upsets;
-    result.total.corrected += report.corrected;
-    result.total.detected_uncorrectable += report.detected_uncorrectable;
-    result.total.silent_corruptions += report.silent_corruptions;
+    result.total.accumulate(report);
   }
   return result;
 }

@@ -202,6 +202,114 @@ struct ContinueStmt : Stmt {
 };
 
 // ---------------------------------------------------------------------------
+// Traversal
+// ---------------------------------------------------------------------------
+
+/// Calls `on_expr` on each direct sub-expression of `expr`, in source order.
+template <typename OnExpr>
+void for_each_child(const Expr& expr, OnExpr&& on_expr) {
+  switch (expr.kind) {
+    case Expr::Kind::kArrayIndex:
+      for (const ExprPtr& index :
+           static_cast<const ArrayIndexExpr&>(expr).indices) {
+        on_expr(*index);
+      }
+      break;
+    case Expr::Kind::kUnary:
+      on_expr(*static_cast<const UnaryExpr&>(expr).operand);
+      break;
+    case Expr::Kind::kBinary: {
+      const auto& bin = static_cast<const BinaryExpr&>(expr);
+      on_expr(*bin.lhs);
+      on_expr(*bin.rhs);
+      break;
+    }
+    case Expr::Kind::kTernary: {
+      const auto& sel = static_cast<const TernaryExpr&>(expr);
+      on_expr(*sel.condition);
+      on_expr(*sel.if_true);
+      on_expr(*sel.if_false);
+      break;
+    }
+    case Expr::Kind::kCall:
+      for (const ExprPtr& arg : static_cast<const CallExpr&>(expr).args) {
+        on_expr(*arg);
+      }
+      break;
+    case Expr::Kind::kCast:
+      on_expr(*static_cast<const CastExpr&>(expr).operand);
+      break;
+    case Expr::Kind::kAssign: {
+      const auto& assign = static_cast<const AssignExpr&>(expr);
+      on_expr(*assign.target);
+      on_expr(*assign.value);
+      break;
+    }
+    case Expr::Kind::kIntLit:
+    case Expr::Kind::kBoolLit:
+    case Expr::Kind::kVarRef:
+      break;
+  }
+}
+
+/// Calls `on_expr` on each direct expression and `on_stmt` on each direct
+/// statement of `stmt`, in source order (a do-while's body before its
+/// condition); absent optional parts are skipped.
+template <typename OnExpr, typename OnStmt>
+void for_each_child(const Stmt& stmt, OnExpr&& on_expr, OnStmt&& on_stmt) {
+  switch (stmt.kind) {
+    case Stmt::Kind::kExpr:
+      on_expr(*static_cast<const ExprStmt&>(stmt).expr);
+      break;
+    case Stmt::Kind::kVarDecl: {
+      const auto& decl = static_cast<const VarDeclStmt&>(stmt);
+      if (decl.init) on_expr(*decl.init);
+      break;
+    }
+    case Stmt::Kind::kBlock:
+      for (const StmtPtr& child : static_cast<const BlockStmt&>(stmt).body) {
+        on_stmt(*child);
+      }
+      break;
+    case Stmt::Kind::kIf: {
+      const auto& branch = static_cast<const IfStmt&>(stmt);
+      on_expr(*branch.condition);
+      on_stmt(*branch.then_branch);
+      if (branch.else_branch) on_stmt(*branch.else_branch);
+      break;
+    }
+    case Stmt::Kind::kWhile: {
+      const auto& loop = static_cast<const WhileStmt&>(stmt);
+      on_expr(*loop.condition);
+      on_stmt(*loop.body);
+      break;
+    }
+    case Stmt::Kind::kDoWhile: {
+      const auto& loop = static_cast<const DoWhileStmt&>(stmt);
+      on_stmt(*loop.body);
+      on_expr(*loop.condition);
+      break;
+    }
+    case Stmt::Kind::kFor: {
+      const auto& loop = static_cast<const ForStmt&>(stmt);
+      if (loop.init) on_stmt(*loop.init);
+      if (loop.condition) on_expr(*loop.condition);
+      if (loop.update) on_expr(*loop.update);
+      on_stmt(*loop.body);
+      break;
+    }
+    case Stmt::Kind::kReturn: {
+      const auto& ret = static_cast<const ReturnStmt&>(stmt);
+      if (ret.value) on_expr(*ret.value);
+      break;
+    }
+    case Stmt::Kind::kBreak:
+    case Stmt::Kind::kContinue:
+      break;
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Functions and programs
 // ---------------------------------------------------------------------------
 

@@ -121,102 +121,18 @@ class Checker {
     return !failed();
   }
 
+  /// Calls `fn` on every call expression in `stmt`, in source order.
   template <typename Fn>
   void collect_calls(const Stmt& stmt, const Fn& fn) {
-    switch (stmt.kind) {
-      case Stmt::Kind::kExpr:
-        collect_calls_expr(*static_cast<const ExprStmt&>(stmt).expr, fn);
-        break;
-      case Stmt::Kind::kVarDecl: {
-        const auto& decl = static_cast<const VarDeclStmt&>(stmt);
-        if (decl.init) collect_calls_expr(*decl.init, fn);
-        break;
-      }
-      case Stmt::Kind::kBlock:
-        for (const StmtPtr& child : static_cast<const BlockStmt&>(stmt).body) {
-          collect_calls(*child, fn);
-        }
-        break;
-      case Stmt::Kind::kIf: {
-        const auto& branch = static_cast<const IfStmt&>(stmt);
-        collect_calls_expr(*branch.condition, fn);
-        collect_calls(*branch.then_branch, fn);
-        if (branch.else_branch) collect_calls(*branch.else_branch, fn);
-        break;
-      }
-      case Stmt::Kind::kWhile: {
-        const auto& loop = static_cast<const WhileStmt&>(stmt);
-        collect_calls_expr(*loop.condition, fn);
-        collect_calls(*loop.body, fn);
-        break;
-      }
-      case Stmt::Kind::kDoWhile: {
-        const auto& loop = static_cast<const DoWhileStmt&>(stmt);
-        collect_calls(*loop.body, fn);
-        collect_calls_expr(*loop.condition, fn);
-        break;
-      }
-      case Stmt::Kind::kFor: {
-        const auto& loop = static_cast<const ForStmt&>(stmt);
-        if (loop.init) collect_calls(*loop.init, fn);
-        if (loop.condition) collect_calls_expr(*loop.condition, fn);
-        if (loop.update) collect_calls_expr(*loop.update, fn);
-        collect_calls(*loop.body, fn);
-        break;
-      }
-      case Stmt::Kind::kReturn: {
-        const auto& ret = static_cast<const ReturnStmt&>(stmt);
-        if (ret.value) collect_calls_expr(*ret.value, fn);
-        break;
-      }
-      default:
-        break;
-    }
+    for_each_child(
+        stmt, [&](const Expr& child) { collect_calls(child, fn); },
+        [&](const Stmt& child) { collect_calls(child, fn); });
   }
 
   template <typename Fn>
-  void collect_calls_expr(const Expr& expr, const Fn& fn) {
-    switch (expr.kind) {
-      case Expr::Kind::kCall: {
-        const auto& call = static_cast<const CallExpr&>(expr);
-        fn(call);
-        for (const ExprPtr& arg : call.args) collect_calls_expr(*arg, fn);
-        break;
-      }
-      case Expr::Kind::kArrayIndex:
-        for (const ExprPtr& index :
-             static_cast<const ArrayIndexExpr&>(expr).indices) {
-          collect_calls_expr(*index, fn);
-        }
-        break;
-      case Expr::Kind::kUnary:
-        collect_calls_expr(*static_cast<const UnaryExpr&>(expr).operand, fn);
-        break;
-      case Expr::Kind::kBinary: {
-        const auto& bin = static_cast<const BinaryExpr&>(expr);
-        collect_calls_expr(*bin.lhs, fn);
-        collect_calls_expr(*bin.rhs, fn);
-        break;
-      }
-      case Expr::Kind::kTernary: {
-        const auto& sel = static_cast<const TernaryExpr&>(expr);
-        collect_calls_expr(*sel.condition, fn);
-        collect_calls_expr(*sel.if_true, fn);
-        collect_calls_expr(*sel.if_false, fn);
-        break;
-      }
-      case Expr::Kind::kCast:
-        collect_calls_expr(*static_cast<const CastExpr&>(expr).operand, fn);
-        break;
-      case Expr::Kind::kAssign: {
-        const auto& assign = static_cast<const AssignExpr&>(expr);
-        collect_calls_expr(*assign.target, fn);
-        collect_calls_expr(*assign.value, fn);
-        break;
-      }
-      default:
-        break;
-    }
+  void collect_calls(const Expr& expr, const Fn& fn) {
+    if (expr.kind == Expr::Kind::kCall) fn(static_cast<const CallExpr&>(expr));
+    for_each_child(expr, [&](const Expr& child) { collect_calls(child, fn); });
   }
 
   // ---- statements ----

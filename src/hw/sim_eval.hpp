@@ -6,6 +6,9 @@
 // silently break the serial-oracle invariant of the fault campaigns. The
 // single switch lives in this header as a template over the input accessor,
 // so each engine reads its own value storage with zero call overhead.
+// Division, remainder and shifts call the guarded operators of
+// common/bits.hpp, which the IR interpreter and constant folder share, so a
+// netlist computes what the IR it was generated from computes.
 #pragma once
 
 #include <cstdint>
@@ -17,8 +20,7 @@ namespace hermes::hw {
 
 /// Evaluates one combinational cell. `in(i)` must return the value of input
 /// wire `i`, already truncated to its width; `widths[i]` is that width. The
-/// result is truncated to `out_mask`. Division/remainder by zero produce
-/// all-ones / the dividend, matching the IR interpreter golden model.
+/// result is truncated to `out_mask`.
 template <typename In>
 std::uint64_t eval_comb_cell(CellKind kind, std::uint64_t param,
                              std::uint64_t out_mask, In&& in,
@@ -30,49 +32,25 @@ std::uint64_t eval_comb_cell(CellKind kind, std::uint64_t param,
     case CellKind::kAdd: result = in(0) + in(1); break;
     case CellKind::kSub: result = in(0) - in(1); break;
     case CellKind::kMul: result = in(0) * in(1); break;
-    case CellKind::kDivU:
-      result = in(1) == 0 ? ~0ULL : in(0) / in(1);
+    case CellKind::kDivU: result = div_u(in(0), in(1)); break;
+    case CellKind::kDivS:
+      result = div_s(sign_extend(in(0), widths[0]),
+                     sign_extend(in(1), widths[1]));
       break;
-    case CellKind::kDivS: {
-      const std::int64_t a = sign_extend(in(0), widths[0]);
-      const std::int64_t b = sign_extend(in(1), widths[1]);
-      // b == -1 negates in unsigned arithmetic: INT64_MIN / -1 overflows
-      // int64 (UB in C++, #DE on x86) but wraps to INT64_MIN in hardware
-      // two's-complement — the semantics the JIT's guarded `neg` emits.
-      result = b == 0    ? ~0ULL
-               : b == -1 ? 0u - static_cast<std::uint64_t>(a)
-                         : static_cast<std::uint64_t>(a / b);
+    case CellKind::kRemU: result = rem_u(in(0), in(1)); break;
+    case CellKind::kRemS:
+      result = rem_s(sign_extend(in(0), widths[0]),
+                     sign_extend(in(1), widths[1]));
       break;
-    }
-    case CellKind::kRemU:
-      result = in(1) == 0 ? in(0) : in(0) % in(1);
-      break;
-    case CellKind::kRemS: {
-      const std::int64_t a = sign_extend(in(0), widths[0]);
-      const std::int64_t b = sign_extend(in(1), widths[1]);
-      // b == -1 divides exactly, so the remainder is 0 — guarded explicitly
-      // because INT64_MIN % -1 is UB in C++ despite the well-defined result.
-      result = b == 0    ? static_cast<std::uint64_t>(a)
-               : b == -1 ? 0
-                         : static_cast<std::uint64_t>(a % b);
-      break;
-    }
     case CellKind::kAnd: result = in(0) & in(1); break;
     case CellKind::kOr: result = in(0) | in(1); break;
     case CellKind::kXor: result = in(0) ^ in(1); break;
     case CellKind::kNot: result = ~in(0); break;
-    case CellKind::kShl:
-      result = in(1) >= 64 ? 0 : in(0) << in(1);
+    case CellKind::kShl: result = shl(in(0), in(1)); break;
+    case CellKind::kShrU: result = shr_u(in(0), in(1)); break;
+    case CellKind::kShrS:
+      result = shr_s(sign_extend(in(0), widths[0]), in(1));
       break;
-    case CellKind::kShrU:
-      result = in(1) >= 64 ? 0 : in(0) >> in(1);
-      break;
-    case CellKind::kShrS: {
-      const std::int64_t a = sign_extend(in(0), widths[0]);
-      const std::uint64_t shift = in(1) >= 63 ? 63 : in(1);
-      result = static_cast<std::uint64_t>(a >> shift);
-      break;
-    }
     case CellKind::kEq: result = in(0) == in(1); break;
     case CellKind::kNe: result = in(0) != in(1); break;
     case CellKind::kLtU: result = in(0) < in(1); break;

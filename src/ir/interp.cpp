@@ -1,9 +1,8 @@
 #include "ir/interp.hpp"
 
-#include <cassert>
-
 #include "common/bits.hpp"
 #include "common/strings.hpp"
+#include "ir/eval.hpp"
 
 namespace hermes::ir {
 
@@ -56,74 +55,18 @@ Result<ExecStats> Interpreter::run(std::span<const std::uint64_t> scalar_args,
   while (stats.instructions < max_steps) {
     const Instr& instr = function_.block(block).instrs[pc];
     ++stats.instructions;
-    const unsigned bits = instr.type.bits;
     const auto src = [&](int i) { return regs[instr.src[i]]; };
-    const auto s_src = [&](int i) { return sign_extend(regs[instr.src[i]], bits); };
-    std::uint64_t value = 0;
 
     switch (instr.op) {
-      case Op::kConst: value = instr.imm; break;
-      case Op::kCopy: value = src(0); break;
-      case Op::kAdd: value = src(0) + src(1); break;
-      case Op::kSub: value = src(0) - src(1); break;
-      case Op::kMul: value = src(0) * src(1); ++stats.multiplies; break;
-      case Op::kDiv:
-        ++stats.divides;
-        if (instr.type.is_signed) {
-          value = s_src(1) == 0 ? ~0ULL
-                                : static_cast<std::uint64_t>(s_src(0) / s_src(1));
-        } else {
-          value = src(1) == 0 ? ~0ULL : src(0) / src(1);
-        }
-        break;
-      case Op::kRem:
-        ++stats.divides;
-        if (instr.type.is_signed) {
-          value = s_src(1) == 0 ? static_cast<std::uint64_t>(s_src(0))
-                                : static_cast<std::uint64_t>(s_src(0) % s_src(1));
-        } else {
-          value = src(1) == 0 ? src(0) : src(0) % src(1);
-        }
-        break;
-      case Op::kAnd: value = src(0) & src(1); break;
-      case Op::kOr: value = src(0) | src(1); break;
-      case Op::kXor: value = src(0) ^ src(1); break;
-      case Op::kNot: value = ~src(0); break;
-      case Op::kShl: value = src(1) >= 64 ? 0 : src(0) << src(1); break;
-      case Op::kShr:
-        if (instr.type.is_signed) {
-          const std::uint64_t amount = src(1) >= 63 ? 63 : src(1);
-          value = static_cast<std::uint64_t>(s_src(0) >> amount);
-        } else {
-          value = src(1) >= 64 ? 0 : src(0) >> src(1);
-        }
-        break;
-      case Op::kEq: value = src(0) == src(1); break;
-      case Op::kNe: value = src(0) != src(1); break;
-      case Op::kLt:
-        value = instr.type.is_signed
-                    ? (sign_extend(src(0), bits) < sign_extend(src(1), bits))
-                    : (src(0) < src(1));
-        break;
-      case Op::kLe:
-        value = instr.type.is_signed
-                    ? (sign_extend(src(0), bits) <= sign_extend(src(1), bits))
-                    : (src(0) <= src(1));
-        break;
-      case Op::kSelect: value = src(0) ? src(1) : src(2); break;
-      case Op::kZext: value = src(0); break;
-      case Op::kSext: {
-        const unsigned from_bits = function_.reg_type(instr.src[0]).bits;
-        value = static_cast<std::uint64_t>(sign_extend(src(0), from_bits));
-        break;
-      }
-      case Op::kTrunc: value = src(0); break;
       case Op::kLoad: {
         ++stats.mem_reads;
         const auto& mem = memories_[instr.imm];
         const std::uint64_t addr = src(0);
         if (trace_) trace_->push_back({instr.imm, addr, false});
-        value = addr < mem.size() ? mem[addr] : 0;
+        if (instr.dest != kNoReg) {
+          regs[instr.dest] = truncate(addr < mem.size() ? mem[addr] : 0,
+                                      function_.reg_type(instr.dest).bits);
+        }
         break;
       }
       case Op::kStore: {
@@ -138,8 +81,7 @@ Result<ExecStats> Interpreter::run(std::span<const std::uint64_t> scalar_args,
         if (addr < mem.size()) {
           mem[addr] = truncate(src(1), function_.memories()[instr.imm].element.bits);
         }
-        ++pc;
-        continue;
+        break;
       }
       case Op::kBr:
         block = instr.target0;
@@ -155,12 +97,13 @@ Result<ExecStats> Interpreter::run(std::span<const std::uint64_t> scalar_args,
           stats.returned_value = true;
         }
         return stats;
-    }
-
-    if (instr.dest != kNoReg) {
-      // Comparison results are 1-bit regardless of the comparison width.
-      const unsigned dest_bits = function_.reg_type(instr.dest).bits;
-      regs[instr.dest] = truncate(value, dest_bits);
+      default:  // kConst … kTrunc
+        stats.multiplies += instr.op == Op::kMul;
+        stats.divides += instr.op == Op::kDiv || instr.op == Op::kRem;
+        if (instr.dest != kNoReg) {
+          regs[instr.dest] = eval_instr(function_, instr, src);
+        }
+        break;
     }
     ++pc;
   }

@@ -1,10 +1,12 @@
 // IR interpreter — the golden software model.
 //
 // Every HLS-generated accelerator is validated against this interpreter over
-// randomized inputs (the role of Bambu's generated testbenches). Its
-// semantics match hw::Simulator exactly: values truncated to declared widths,
-// division by zero yields all-ones, remainder by zero yields the dividend,
-// out-of-bounds loads read 0 and out-of-bounds stores are dropped.
+// randomized inputs (the role of Bambu's generated testbenches). Every
+// value-producing instruction is computed by ir::eval_instr (ir/eval.hpp),
+// whose div, rem and shift rules are the ones hw::Simulator's cells use
+// (common/bits.hpp): values truncated to declared widths, division by zero
+// yields all-ones, remainder by zero yields the dividend, INT64_MIN / -1
+// wraps. Out-of-bounds loads read 0 and out-of-bounds stores are dropped.
 //
 // It also counts executed operations, which the use-case benchmarks use as
 // the "software on the rad-hard CPU" baseline (one op per cycle).

@@ -421,104 +421,37 @@ class Lowerer {
   }
 
   /// True if the body contains break/continue/return or writes the loop var.
-  bool body_blocks_control(const Stmt& stmt, const std::string& var) {
-    switch (stmt.kind) {
-      case Stmt::Kind::kBreak:
-      case Stmt::Kind::kContinue:
-      case Stmt::Kind::kReturn:
+  /// (A nested loop's break/continue binds to it, so only `return` and
+  /// writes matter there; the scan stays conservative and counts them all.)
+  static bool body_blocks_control(const Stmt& stmt, const std::string& var) {
+    if (stmt.kind == Stmt::Kind::kBreak || stmt.kind == Stmt::Kind::kContinue ||
+        stmt.kind == Stmt::Kind::kReturn) {
+      return true;
+    }
+    bool blocks = false;
+    fe::for_each_child(
+        stmt,
+        [&](const Expr& child) { blocks = blocks || expr_writes(child, var); },
+        [&](const Stmt& child) {
+          blocks = blocks || body_blocks_control(child, var);
+        });
+    return blocks;
+  }
+
+  /// True if `expr` assigns the scalar `var`.
+  static bool expr_writes(const Expr& expr, const std::string& var) {
+    if (expr.kind == Expr::Kind::kAssign) {
+      const auto& target = *static_cast<const fe::AssignExpr&>(expr).target;
+      if (target.kind == Expr::Kind::kVarRef &&
+          static_cast<const fe::VarRefExpr&>(target).name == var) {
         return true;
-      case Stmt::Kind::kBlock: {
-        for (const fe::StmtPtr& child :
-             static_cast<const fe::BlockStmt&>(stmt).body) {
-          if (body_blocks_control(*child, var)) return true;
-        }
-        return false;
-      }
-      case Stmt::Kind::kIf: {
-        const auto& branch = static_cast<const fe::IfStmt&>(stmt);
-        if (expr_writes(*branch.condition, var)) return true;
-        if (body_blocks_control(*branch.then_branch, var)) return true;
-        return branch.else_branch && body_blocks_control(*branch.else_branch, var);
-      }
-      case Stmt::Kind::kWhile: {
-        const auto& loop = static_cast<const fe::WhileStmt&>(stmt);
-        return expr_writes(*loop.condition, var) ||
-               body_blocks_control(*loop.body, var);
-      }
-      case Stmt::Kind::kDoWhile: {
-        const auto& loop = static_cast<const fe::DoWhileStmt&>(stmt);
-        return expr_writes(*loop.condition, var) ||
-               body_blocks_control(*loop.body, var);
-      }
-      case Stmt::Kind::kFor: {
-        // Nested for: conservatively scan all parts for writes of `var`, and
-        // its body for control statements that would escape the outer body.
-        const auto& loop = static_cast<const fe::ForStmt&>(stmt);
-        if (loop.init && body_blocks_control_decl_safe(*loop.init, var)) return true;
-        if (loop.condition && expr_writes(*loop.condition, var)) return true;
-        if (loop.update && expr_writes(*loop.update, var)) return true;
-        // break/continue inside the nested loop bind to it, so only `return`
-        // and writes matter below; keep it conservative and reuse the scan.
-        return body_blocks_control(*loop.body, var);
-      }
-      case Stmt::Kind::kExpr:
-        return expr_writes(*static_cast<const fe::ExprStmt&>(stmt).expr, var);
-      case Stmt::Kind::kVarDecl: {
-        const auto& decl = static_cast<const fe::VarDeclStmt&>(stmt);
-        return decl.init && expr_writes(*decl.init, var);
       }
     }
-    return false;
-  }
-
-  bool body_blocks_control_decl_safe(const Stmt& stmt, const std::string& var) {
-    if (stmt.kind == Stmt::Kind::kVarDecl) {
-      const auto& decl = static_cast<const fe::VarDeclStmt&>(stmt);
-      return decl.init && expr_writes(*decl.init, var);
-    }
-    return body_blocks_control(stmt, var);
-  }
-
-  bool expr_writes(const Expr& expr, const std::string& var) {
-    switch (expr.kind) {
-      case Expr::Kind::kAssign: {
-        const auto& assign = static_cast<const fe::AssignExpr&>(expr);
-        if (assign.target->kind == Expr::Kind::kVarRef &&
-            static_cast<const fe::VarRefExpr&>(*assign.target).name == var) {
-          return true;
-        }
-        return expr_writes(*assign.target, var) || expr_writes(*assign.value, var);
-      }
-      case Expr::Kind::kUnary:
-        return expr_writes(*static_cast<const fe::UnaryExpr&>(expr).operand, var);
-      case Expr::Kind::kBinary: {
-        const auto& bin = static_cast<const fe::BinaryExpr&>(expr);
-        return expr_writes(*bin.lhs, var) || expr_writes(*bin.rhs, var);
-      }
-      case Expr::Kind::kTernary: {
-        const auto& sel = static_cast<const fe::TernaryExpr&>(expr);
-        return expr_writes(*sel.condition, var) ||
-               expr_writes(*sel.if_true, var) || expr_writes(*sel.if_false, var);
-      }
-      case Expr::Kind::kCall: {
-        const auto& call = static_cast<const fe::CallExpr&>(expr);
-        for (const fe::ExprPtr& arg : call.args) {
-          if (expr_writes(*arg, var)) return true;
-        }
-        return false;
-      }
-      case Expr::Kind::kCast:
-        return expr_writes(*static_cast<const fe::CastExpr&>(expr).operand, var);
-      case Expr::Kind::kArrayIndex: {
-        for (const fe::ExprPtr& index :
-             static_cast<const fe::ArrayIndexExpr&>(expr).indices) {
-          if (expr_writes(*index, var)) return true;
-        }
-        return false;
-      }
-      default:
-        return false;
-    }
+    bool writes = false;
+    fe::for_each_child(expr, [&](const Expr& child) {
+      writes = writes || expr_writes(child, var);
+    });
+    return writes;
   }
 
   void lower_for(const fe::ForStmt& loop) {
@@ -609,36 +542,15 @@ class Lowerer {
   }
 
   static bool expr_has_side_effects(const Expr& expr) {
-    switch (expr.kind) {
-      case Expr::Kind::kAssign:
-      case Expr::Kind::kCall:  // calls are inlined and may contain stores
-        return true;
-      case Expr::Kind::kUnary:
-        return expr_has_side_effects(
-            *static_cast<const fe::UnaryExpr&>(expr).operand);
-      case Expr::Kind::kBinary: {
-        const auto& bin = static_cast<const fe::BinaryExpr&>(expr);
-        return expr_has_side_effects(*bin.lhs) || expr_has_side_effects(*bin.rhs);
-      }
-      case Expr::Kind::kTernary: {
-        const auto& sel = static_cast<const fe::TernaryExpr&>(expr);
-        return expr_has_side_effects(*sel.condition) ||
-               expr_has_side_effects(*sel.if_true) ||
-               expr_has_side_effects(*sel.if_false);
-      }
-      case Expr::Kind::kCast:
-        return expr_has_side_effects(
-            *static_cast<const fe::CastExpr&>(expr).operand);
-      case Expr::Kind::kArrayIndex: {
-        for (const fe::ExprPtr& index :
-             static_cast<const fe::ArrayIndexExpr&>(expr).indices) {
-          if (expr_has_side_effects(*index)) return true;
-        }
-        return false;
-      }
-      default:
-        return false;
+    // Calls are inlined and may contain stores.
+    if (expr.kind == Expr::Kind::kAssign || expr.kind == Expr::Kind::kCall) {
+      return true;
     }
+    bool effects = false;
+    fe::for_each_child(expr, [&](const Expr& child) {
+      effects = effects || expr_has_side_effects(child);
+    });
+    return effects;
   }
 
   RegId lower_expr(const Expr& expr) {

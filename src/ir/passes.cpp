@@ -6,6 +6,7 @@
 #include <tuple>
 
 #include "common/bits.hpp"
+#include "ir/eval.hpp"
 
 namespace hermes::ir {
 namespace {
@@ -158,96 +159,38 @@ std::size_t constant_fold(Function& function) {
       };
       const unsigned bits = instr.type.bits;
 
-      // Fully-constant operands: evaluate.
+      // Fully-constant operands: evaluate. A select on a known condition
+      // becomes a copy of the chosen arm, a condbr on one a br.
+      std::uint64_t values[3] = {};
+      const auto all_known = [&] {
+        for (unsigned i = 0; i < instr.num_srcs(); ++i) {
+          const auto it = constants.find(instr.src[i]);
+          if (it == constants.end()) return false;
+          values[i] = it->second;
+        }
+        return true;
+      };
       bool folded = false;
-      switch (instr.op) {
-        case Op::kAdd: case Op::kSub: case Op::kMul: case Op::kDiv:
-        case Op::kRem: case Op::kAnd: case Op::kOr: case Op::kXor:
-        case Op::kShl: case Op::kShr: case Op::kEq: case Op::kNe:
-        case Op::kLt: case Op::kLe: {
-          const auto a = known(0);
-          const auto c = known(1);
-          if (a && c) {
-            std::uint64_t value = 0;
-            const std::int64_t sa = sign_extend(*a, bits);
-            const std::int64_t sc = sign_extend(*c, bits);
-            switch (instr.op) {
-              case Op::kAdd: value = *a + *c; break;
-              case Op::kSub: value = *a - *c; break;
-              case Op::kMul: value = *a * *c; break;
-              case Op::kDiv:
-                value = instr.type.is_signed
-                            ? (sc == 0 ? ~0ULL : static_cast<std::uint64_t>(sa / sc))
-                            : (*c == 0 ? ~0ULL : *a / *c);
-                break;
-              case Op::kRem:
-                value = instr.type.is_signed
-                            ? (sc == 0 ? static_cast<std::uint64_t>(sa)
-                                       : static_cast<std::uint64_t>(sa % sc))
-                            : (*c == 0 ? *a : *a % *c);
-                break;
-              case Op::kAnd: value = *a & *c; break;
-              case Op::kOr: value = *a | *c; break;
-              case Op::kXor: value = *a ^ *c; break;
-              case Op::kShl: value = *c >= 64 ? 0 : *a << *c; break;
-              case Op::kShr:
-                value = instr.type.is_signed
-                            ? static_cast<std::uint64_t>(sa >> (*c >= 63 ? 63 : *c))
-                            : (*c >= 64 ? 0 : *a >> *c);
-                break;
-              case Op::kEq: value = *a == *c; break;
-              case Op::kNe: value = *a != *c; break;
-              case Op::kLt: value = instr.type.is_signed ? sa < sc : *a < *c; break;
-              case Op::kLe: value = instr.type.is_signed ? sa <= sc : *a <= *c; break;
-              default: break;
-            }
-            const unsigned dest_bits = function.reg_type(instr.dest).bits;
-            rewrite_to_const(instr, truncate(value, dest_bits));
-            instr.type = function.reg_type(instr.dest);
-            folded = true;
-            ++changed;
-          }
-          break;
+      if (is_value_op(instr.op) && instr.op != Op::kConst &&
+          instr.op != Op::kSelect && all_known()) {
+        rewrite_to_const(instr, eval_instr(function, instr,
+                                           [&](int i) { return values[i]; }));
+        instr.type = function.reg_type(instr.dest);
+        folded = true;
+        ++changed;
+      } else if (instr.op == Op::kSelect) {
+        if (const auto cond = known(0)) {
+          rewrite_to_copy(instr, *cond ? instr.src[1] : instr.src[2]);
+          folded = true;
+          ++changed;
         }
-        case Op::kNot: case Op::kCopy: case Op::kZext: case Op::kSext:
-        case Op::kTrunc: {
-          const auto a = known(0);
-          if (a) {
-            std::uint64_t value = *a;
-            if (instr.op == Op::kNot) value = ~value;
-            if (instr.op == Op::kSext) {
-              value = static_cast<std::uint64_t>(
-                  sign_extend(*a, function.reg_type(instr.src[0]).bits));
-            }
-            const unsigned dest_bits = function.reg_type(instr.dest).bits;
-            rewrite_to_const(instr, truncate(value, dest_bits));
-            instr.type = function.reg_type(instr.dest);
-            folded = true;
-            ++changed;
-          }
-          break;
+      } else if (instr.op == Op::kCondBr) {
+        if (const auto cond = known(0)) {
+          instr.op = Op::kBr;
+          instr.target0 = *cond ? instr.target0 : instr.target1;
+          instr.src[0] = kNoReg;
+          ++changed;
         }
-        case Op::kSelect: {
-          const auto cond = known(0);
-          if (cond) {
-            rewrite_to_copy(instr, *cond ? instr.src[1] : instr.src[2]);
-            folded = true;
-            ++changed;
-          }
-          break;
-        }
-        case Op::kCondBr: {
-          const auto cond = known(0);
-          if (cond) {
-            instr.op = Op::kBr;
-            instr.target0 = *cond ? instr.target0 : instr.target1;
-            instr.src[0] = kNoReg;
-            ++changed;
-          }
-          break;
-        }
-        default:
-          break;
       }
 
       // Algebraic identities with one constant operand. (Values are copied

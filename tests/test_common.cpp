@@ -4,8 +4,11 @@
 #include <algorithm>
 #include <atomic>
 #include <mutex>
+#include <chrono>
 #include <span>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/bits.hpp"
@@ -299,6 +302,97 @@ TEST(ThreadPoolRunQueue, ReusableAcrossSubmissions) {
     pool.run_queue([&] { return queue.pull(); });
     EXPECT_EQ(queue.claimed.size(), 50u) << "round " << round;
   }
+}
+
+// ---- a throwing task reaches the caller ----
+
+/// Runs one full parallel_for and one full run_queue on `pool` and checks
+/// that each covered all its work: the pool is usable again.
+void expect_pool_runs_another_job(ThreadPool& pool) {
+  std::vector<std::atomic<int>> hits(100);
+  pool.parallel_for(hits.size(), [&](std::size_t i) { ++hits[i]; });
+  for (const auto& hit : hits) EXPECT_EQ(hit.load(), 1);
+  TicketQueue queue(100);
+  pool.run_queue([&] { return queue.pull(); });
+  EXPECT_EQ(queue.claimed.size(), 100u);
+}
+
+TEST(ThreadPoolErrors, ParallelForRethrowsOnTheCaller) {
+  for (const unsigned workers : {0u, 3u}) {
+    ThreadPool pool(workers);
+    EXPECT_THROW(pool.parallel_for(64,
+                                   [](std::size_t i) {
+                                     if (i == 5) throw std::runtime_error("5");
+                                   }),
+                 std::runtime_error)
+        << workers << " workers";
+    expect_pool_runs_another_job(pool);
+  }
+}
+
+TEST(ThreadPoolErrors, RunQueueRethrowsOnTheCaller) {
+  for (const unsigned workers : {0u, 3u}) {
+    ThreadPool pool(workers);
+    std::atomic<int> next{0};
+    EXPECT_THROW(pool.run_queue([&] {
+      const int ticket = next++;
+      if (ticket == 5) throw std::runtime_error("5");
+      return ticket < 64;
+    }),
+                 std::runtime_error)
+        << workers << " workers";
+    expect_pool_runs_another_job(pool);
+  }
+}
+
+/// Spins until `flag` is set (bounded, so a broken pool fails, not hangs).
+void await(const std::atomic<bool>& flag) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!flag.load() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
+}
+
+TEST(ThreadPoolErrors, ThrowOnTheSubmittingThreadWaitsForWorkers) {
+  // The caller throws while workers are still inside their bodies; the
+  // exception must not leave parallel_for before they do.
+  ThreadPool pool(3);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<bool> caller_entered{false};
+  std::atomic<int> inside{0};
+  EXPECT_THROW(pool.parallel_for(64,
+                                 [&](std::size_t) {
+                                   if (std::this_thread::get_id() == caller) {
+                                     caller_entered = true;
+                                     throw std::runtime_error("caller");
+                                   }
+                                   ++inside;
+                                   await(caller_entered);
+                                   std::this_thread::sleep_for(
+                                       std::chrono::milliseconds(2));
+                                   --inside;
+                                 }),
+               std::runtime_error);
+  EXPECT_EQ(inside.load(), 0);
+  expect_pool_runs_another_job(pool);
+}
+
+TEST(ThreadPoolErrors, ThrowOnAWorkerReachesTheCaller) {
+  ThreadPool pool(3);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<bool> worker_threw{false};
+  EXPECT_THROW(pool.parallel_for(64,
+                                 [&](std::size_t) {
+                                   if (std::this_thread::get_id() != caller) {
+                                     worker_threw = true;
+                                     throw std::runtime_error("worker");
+                                   }
+                                   await(worker_threw);
+                                 }),
+               std::runtime_error);
+  EXPECT_TRUE(worker_threw.load());
+  expect_pool_runs_another_job(pool);
 }
 
 }  // namespace

@@ -1,11 +1,14 @@
 // Co-simulation tests. Every catalog kernel's accelerator is checked against
 // the golden model over random inputs; cosim's hardware side (the JIT on the
 // FSMD) is checked against the event engine on the same FSMD, with the JIT
-// engaged and with it forced off; and cosim's argument checks are exercised
-// one bad argument at a time.
+// engaged and with it forced off; cosim's argument checks are exercised one
+// bad argument at a time; and the IR evaluator is checked against the
+// netlist cell evaluator operator by operator on corner operands.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
+#include <limits>
 #include <map>
 #include <optional>
 #include <ostream>
@@ -14,14 +17,18 @@
 #include <vector>
 
 #include "apps/kernels.hpp"
+#include "common/bits.hpp"
 #include "common/rng.hpp"
 #include "common/strings.hpp"
+#include "hls/bind.hpp"
 #include "hls/flow.hpp"
 #include "hls/techlib.hpp"
 #include "hls/testbench.hpp"
 #include "hw/jit/cache.hpp"
 #include "hw/jit/exec_memory.hpp"
 #include "hw/sim.hpp"
+#include "hw/sim_eval.hpp"
+#include "ir/eval.hpp"
 #include "ir/interp.hpp"
 
 namespace hermes::apps {
@@ -355,6 +362,103 @@ TEST(CosimArguments, RejectsWrongScalarCount) {
   auto missing = hls::cosimulate(flow, {}, {});
   ASSERT_FALSE(missing.ok());
   EXPECT_EQ(missing.status().code(), ErrorCode::kInvalidArgument);
+}
+
+// ---- one integer semantics: IR evaluator against netlist cells ----
+
+constexpr auto kInt64Min =
+    static_cast<std::uint64_t>(std::numeric_limits<std::int64_t>::min());
+
+TEST(CosimCorners, MinDividedByMinusOneMatches) {
+  hls::FlowOptions options;
+  options.top = "f";
+  auto flow =
+      hls::run_flow("long f(long a, long b) { return a / b + a % b; }", options);
+  ASSERT_TRUE(flow.ok()) << flow.status().to_string();
+  auto result = hls::cosimulate(flow.value(), {kInt64Min, ~0ULL}, {});
+  ASSERT_TRUE(result.ok()) << result.status().to_string();
+  EXPECT_TRUE(result.value().match) << result.value().mismatch;
+  EXPECT_EQ(result.value().return_value, kInt64Min);
+}
+
+/// Corner operands at `width`: 0, 1, -1, 2, the signed minimum and maximum,
+/// width - 1 and 64, each truncated to the width.
+std::vector<std::uint64_t> corner_operands(unsigned width) {
+  const std::uint64_t min = 1ULL << (width - 1);
+  const std::vector<std::uint64_t> raw = {0, 1, ~0ULL, 2, min, min - 1,
+                                          width - 1, 64};
+  std::vector<std::uint64_t> operands;
+  for (const std::uint64_t value : raw) operands.push_back(truncate(value, width));
+  return operands;
+}
+
+TEST(OperatorSemantics, IrEvaluatorMatchesNetlistCell) {
+  using ir::Op;
+  const Op binary[] = {Op::kAdd, Op::kSub, Op::kMul, Op::kDiv, Op::kRem,
+                       Op::kAnd, Op::kOr,  Op::kXor, Op::kShl, Op::kShr,
+                       Op::kEq,  Op::kNe,  Op::kLt,  Op::kLe};
+  std::size_t checked = 0;
+  for (const unsigned width : {1u, 8u, 16u, 32u, 64u}) {
+    const std::vector<std::uint64_t> operands = corner_operands(width);
+    for (const bool is_signed : {false, true}) {
+      ir::Function function("op");
+      const ir::IrType type{width, is_signed};
+      const ir::RegId a = function.new_reg(type);
+      const ir::RegId b = function.new_reg(type);
+      const ir::RegId wide = function.new_reg({64, is_signed});
+      const ir::RegId flag = function.new_reg({1, false});
+      const std::uint8_t widths[2] = {static_cast<std::uint8_t>(width),
+                                      static_cast<std::uint8_t>(width)};
+
+      // `instr` on (x, y) through both evaluators; the cell is the one the
+      // FSMD builds for it.
+      const auto expect_same = [&](const ir::Instr& instr, hw::CellKind kind,
+                                   std::uint64_t x, std::uint64_t y) {
+        const std::uint64_t in[2] = {x, y};
+        const std::uint64_t ir_value =
+            ir::eval_instr(function, instr, [&](int i) { return in[i]; });
+        const std::uint64_t cell_value = hw::eval_comb_cell(
+            kind, 0, bit_mask(function.reg_type(instr.dest).bits),
+            [&](int i) { return in[i]; }, widths, 2);
+        ASSERT_EQ(ir_value, cell_value)
+            << to_string(instr.op) << " " << type.to_string() << " (" << x
+            << ", " << y << ")";
+        ++checked;
+      };
+
+      for (const Op op : binary) {
+        ir::Instr instr;
+        instr.op = op;
+        instr.type = type;
+        instr.src[0] = a;
+        instr.src[1] = b;
+        const bool compare =
+            op == Op::kEq || op == Op::kNe || op == Op::kLt || op == Op::kLe;
+        instr.dest = compare ? flag : a;
+        for (const std::uint64_t x : operands) {
+          for (const std::uint64_t y : operands) {
+            expect_same(instr, hls::to_cell_kind(instr), x, y);
+          }
+        }
+      }
+      ir::Instr negate;
+      negate.op = Op::kNot;
+      negate.type = type;
+      negate.src[0] = a;
+      negate.dest = b;
+      ir::Instr extend;
+      extend.op = Op::kSext;
+      extend.type = {64, is_signed};
+      extend.src[0] = a;
+      extend.dest = wide;
+      for (const std::uint64_t x : operands) {
+        expect_same(negate, hw::CellKind::kNot, x, 0);
+        expect_same(extend, hw::CellKind::kSext, x, 0);
+      }
+    }
+  }
+  // 5 widths x 2 signednesses x (14 ops x 8 x 8 + 2 ops x 8).
+  EXPECT_EQ(checked, 5u * 2u * (14u * 64u + 16u));
 }
 
 }  // namespace

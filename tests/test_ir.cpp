@@ -3,6 +3,8 @@
 // interpreter must produce identical results before and after optimization.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <ostream>
 
 #include "common/rng.hpp"
@@ -172,6 +174,23 @@ TEST(Interp, OutOfBoundsSemantics) {
   EXPECT_EQ(r.value().return_value, 99u);
 }
 
+constexpr auto kInt64Min =
+    static_cast<std::uint64_t>(std::numeric_limits<std::int64_t>::min());
+constexpr std::uint64_t kMinusOne = ~0ULL;
+
+TEST(Interp, SignedDivRemOfMinByMinusOneWrap) {
+  // INT64_MIN / -1 overflows int64 (a trap on x86); the datapath wraps it to
+  // INT64_MIN, and the remainder is 0.
+  const std::vector<std::uint64_t> args = {kInt64Min, kMinusOne};
+  Function div = lower_source("long f(long a, long b) { return a / b; }", "f");
+  Function rem = lower_source("long f(long a, long b) { return a % b; }", "f");
+  auto quotient = Interpreter(div).run(args);
+  auto remainder = Interpreter(rem).run(args);
+  ASSERT_TRUE(quotient.ok() && remainder.ok());
+  EXPECT_EQ(quotient.value().return_value, kInt64Min);
+  EXPECT_EQ(remainder.value().return_value, 0u);
+}
+
 // ---- passes: semantic preservation on a corpus of programs ----
 
 struct PassCase {
@@ -249,6 +268,31 @@ TEST(Passes, ConstantFoldCollapsesConstantExpression) {
   EXPECT_LE(fn.instr_count(), 4u);
   Interpreter interp(fn);
   EXPECT_EQ(interp.run({}).value().return_value, 10u);
+}
+
+TEST(Passes, FoldsMinDividedByMinusOne) {
+  // The folder evaluates INT64_MIN / -1 like the interpreter does, instead
+  // of trapping on it.
+  constexpr const char* kSource =
+      "long f() { long x = 1; x = x << 63; long m = 0 - 1; return x / m; }";
+  hls::FlowOptions options;
+  options.top = "f";
+  auto flow = hls::run_flow(kSource, options);
+  ASSERT_TRUE(flow.ok()) << flow.status().to_string();
+  const Function& folded = flow.value().function;
+  for (BlockId b = 0; b < folded.num_blocks(); ++b) {
+    for (const Instr& instr : folded.block(b).instrs) {
+      EXPECT_TRUE(instr.op == Op::kConst || instr.op == Op::kCopy ||
+                  instr.op == Op::kRet)
+          << "left unfolded: " << to_string(instr.op);
+    }
+  }
+  const Function unoptimized = lower_source(kSource, "f");
+  auto optimized = Interpreter(folded).run({});
+  auto reference = Interpreter(unoptimized).run({});
+  ASSERT_TRUE(optimized.ok() && reference.ok());
+  EXPECT_EQ(reference.value().return_value, kInt64Min);
+  EXPECT_EQ(optimized.value().return_value, reference.value().return_value);
 }
 
 TEST(Passes, DceRemovesUnreadWrites) {

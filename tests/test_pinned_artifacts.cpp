@@ -44,7 +44,7 @@ TEST(PinnedArtifacts, CatalogNetlistDigests) {
   }
 }
 
-// Pins the backend's output (dead-cell sweep, placement, packing) the netlist
+// Pins the backend's output (techmap, placement, packing) the netlist
 // digests above cannot see: a change that moves a catalog bitstream must
 // re-capture its digest and say why.
 TEST(PinnedArtifacts, CatalogBitstreamDigests) {
