@@ -1,8 +1,8 @@
 // Little-endian byte codec for the boot-path wire formats (BL1 header, load
 // list, boot report, eFPGA bitstream), the compile service's integrity
-// images and fnv::mix_le64. Encoders append through Writer and decoders
-// consume through Reader, so no format keeps its own shift loops or field
-// offsets. No format in scope is big-endian.
+// images, fnv::mix_le64 and fnv::mix_words. Encoders append through Writer
+// and decoders consume through Reader, so no format keeps its own shift loops
+// or field offsets. No format in scope is big-endian.
 #pragma once
 
 #include <algorithm>
@@ -24,6 +24,15 @@ constexpr std::array<std::uint8_t, N> le(std::uint64_t value) {
     out[i] = static_cast<std::uint8_t>(value >> (8 * i));
   }
   return out;
+}
+
+/// The u64 whose little-endian bytes are `data`: the inverse of le<8>.
+constexpr std::uint64_t load_le64(std::span<const std::uint8_t, 8> data) {
+  std::uint64_t value = 0;
+  for (std::size_t i = 0; i < 8; ++i) {
+    value |= static_cast<std::uint64_t>(data[i]) << (8 * i);
+  }
+  return value;
 }
 
 /// Appends little-endian fields to a byte vector.

@@ -1,16 +1,20 @@
 // FNV-1a (64-bit): the one non-cryptographic hash behind stage keys, cache
 // checks, netlist digests and run fingerprints.
 //
-// Three feeding conventions are in use, and each is pinned by golden
-// fingerprints, so each keeps its own entry point:
+// Three feeding conventions are pinned by golden fingerprints, so each keeps
+// its own entry point:
 //   - mix_bytes: raw bytes, one xor-multiply per byte (textbook FNV-1a);
 //   - mix_le64:  a 64-bit value as its 8 little-endian bytes;
 //   - mix_word:  a whole 64-bit word in one xor-multiply.
+// A fourth is not pinned and is used only for in-memory integrity checks,
+// whose values are never stored or compared across runs:
+//   - mix_words: a byte image folded a little-endian word at a time.
 // These are the only places the FNV prime and offset basis may appear; a CI
 // step rejects copies elsewhere in src/ and tests/.
 #pragma once
 
 #include <cstdint>
+#include <span>
 
 #include "common/bytes.hpp"
 
@@ -36,6 +40,21 @@ constexpr std::uint64_t mix_le64(std::uint64_t hash, std::uint64_t value) {
 /// Folds `value` into `hash` as one word.
 constexpr std::uint64_t mix_word(std::uint64_t hash, std::uint64_t value) {
   return (hash ^ value) * kPrime;
+}
+
+/// Folds `bytes` into `hash` one word per xor-multiply: each whole 8-byte
+/// word goes through mix_word as a little-endian u64, and the 0-7 tail bytes
+/// through mix_bytes. About 8x fewer multiplies than mix_bytes, with the
+/// same guarantee: every step is a bijection of the running hash, so two
+/// images that differ only within one word, or only in the tail, always
+/// hash differently.
+constexpr std::uint64_t mix_words(std::uint64_t hash,
+                                  std::span<const std::uint8_t> bytes) {
+  const std::size_t whole = bytes.size() - bytes.size() % 8;
+  for (std::size_t i = 0; i < whole; i += 8) {
+    hash = mix_word(hash, bytes::load_le64(bytes.subspan(i).first<8>()));
+  }
+  return mix_bytes(hash, bytes.subspan(whole));
 }
 
 }  // namespace hermes::fnv

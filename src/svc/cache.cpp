@@ -26,7 +26,7 @@ std::uint64_t FlowCache::slot_of(Stage stage, std::uint64_t key) {
 }
 
 std::uint64_t FlowCache::image_check(const std::vector<std::uint8_t>& image) {
-  return fnv::mix_bytes(fnv::kOffsetBasis, image);
+  return fnv::mix_words(fnv::kOffsetBasis, image);
 }
 
 std::shared_ptr<const void> FlowCache::get_or_compute_erased(
@@ -86,39 +86,63 @@ std::shared_ptr<const void> FlowCache::get_or_compute_erased(
     }
   }
 
-  // Elected compiler: run outside the lock so distinct keys overlap.
-  std::shared_ptr<const void> value = compute();
-  std::vector<std::uint8_t> image;
-  if (value != nullptr) image = image_of(value.get());
+  // Elected compiler: run outside the lock so distinct keys overlap. The
+  // latch is released on every way out, a throwing compute() or image_of()
+  // included: the in-flight entry is dropped and the waiters wake to
+  // `published`, which stays null unless an entry was inserted. Otherwise
+  // the next requester of this key would park on a latch nobody releases.
+  class LatchRelease {
+   public:
+    LatchRelease(FlowCache& cache, std::uint64_t slot)
+        : cache_(cache), slot_(slot) {}
+    LatchRelease(const LatchRelease&) = delete;
+    LatchRelease& operator=(const LatchRelease&) = delete;
+    ~LatchRelease() { cache_.release_latch(slot_, published); }
+    std::shared_ptr<const void> published;
 
+   private:
+    FlowCache& cache_;
+    std::uint64_t slot_;
+  } release(*this, slot);
+
+  std::shared_ptr<const void> value = compute();
+  if (value == nullptr) return nullptr;
+  std::vector<std::uint8_t> image = image_of(value.get());
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    ++stats_.computes;
+    Entry entry;
+    entry.object = value;
+    entry.check = image_check(image);
+    stats_.bytes_in_use += image.size();
+    entry.image = std::move(image);
+    entry.tick = ++tick_;
+    entry.stage = stage;
+    entries_[slot] = std::move(entry);
+    // Injected eviction storm: spuriously shed the LRU half. Correctness
+    // must not depend on residency — storms only cost recompiles.
+    if (injector_ != nullptr && storm_point_ != fault::kNoFaultPoint &&
+        injector_->should_fire(storm_point_)) {
+      ++stats_.evict_storms;
+      const std::size_t survivors = (entries_.size() + 1) / 2;
+      while (entries_.size() > survivors) evict_lru_locked();
+    }
+    while (stats_.bytes_in_use > byte_budget_ && entries_.size() > 1) {
+      evict_lru_locked();
+    }
+  }
+  release.published = value;
+  return value;
+}
+
+void FlowCache::release_latch(std::uint64_t slot,
+                              const std::shared_ptr<const void>& value) {
   std::shared_ptr<Inflight> mine;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     auto it = inflight_.find(slot);
-    mine = it->second;
+    mine = std::move(it->second);
     inflight_.erase(it);
-    if (value != nullptr) {
-      ++stats_.computes;
-      Entry entry;
-      entry.object = value;
-      entry.check = image_check(image);
-      stats_.bytes_in_use += image.size();
-      entry.image = std::move(image);
-      entry.tick = ++tick_;
-      entry.stage = stage;
-      entries_[slot] = std::move(entry);
-      // Injected eviction storm: spuriously shed the LRU half. Correctness
-      // must not depend on residency — storms only cost recompiles.
-      if (injector_ != nullptr && storm_point_ != fault::kNoFaultPoint &&
-          injector_->should_fire(storm_point_)) {
-        ++stats_.evict_storms;
-        const std::size_t survivors = (entries_.size() + 1) / 2;
-        while (entries_.size() > survivors) evict_lru_locked();
-      }
-      while (stats_.bytes_in_use > byte_budget_ && entries_.size() > 1) {
-        evict_lru_locked();
-      }
-    }
   }
   {
     std::lock_guard<std::mutex> parked(mine->mutex);
@@ -126,7 +150,6 @@ std::shared_ptr<const void> FlowCache::get_or_compute_erased(
     mine->done = true;
   }
   mine->cv.notify_all();
-  return value;
 }
 
 void FlowCache::evict_lru_locked() {

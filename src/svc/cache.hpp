@@ -8,17 +8,21 @@
 //
 // Integrity invariant — never serve rot silently: every entry stores a
 // canonical byte image of its artifact plus the FNV check of that image,
-// captured at insert. Every lookup re-hashes the image before serving; a
-// mismatch (storage rot, modeled by the `svc.cache.entry.rot` injection
+// captured at insert. Every lookup re-hashes the whole image before serving;
+// a mismatch (storage rot, modeled by the `svc.cache.entry.rot` injection
 // point) counts as rot_detected, evicts the entry, and falls through to a
 // recompile. `rot_served` is pinned to zero by construction and asserted in
-// the soak suite.
+// the soak suite. The check is fnv::mix_words, one xor-multiply per 8-byte
+// word, so a hit costs far less than the compute it saves; it is re-run
+// rather than memoized, since a memo would stop seeing rot in the image.
 //
 // Dedup invariant — one compile per digest: concurrent requesters of the
 // same (stage, key) elect one compiler; the rest park on a latch and share
 // the result. Unlike KernelCache (compile-under-lock), computes here run
 // outside the table mutex, so *distinct* keys compile in parallel — the
-// compile-farm case.
+// compile-farm case. The compiler releases the latch however it leaves: if
+// `compute` or `image_of` throws, nothing is inserted, the waiters wake to
+// null and the exception propagates to the compiler's caller.
 #pragma once
 
 #include <condition_variable>
@@ -107,6 +111,10 @@ class FlowCache {
       const std::function<std::vector<std::uint8_t>(const void*)>& image_of,
       bool* was_hit, bool* was_waiter);
 
+  /// Drops the in-flight entry of `slot` and wakes its waiters with
+  /// `value`; the elected compiler's last act, however it leaves.
+  void release_latch(std::uint64_t slot,
+                     const std::shared_ptr<const void>& value);
   void evict_lru_locked();                 ///< shed LRU entries over budget
   void erase_locked(std::uint64_t slot);   ///< drop one entry, byte-accounted
 

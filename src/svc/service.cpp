@@ -18,6 +18,14 @@ struct Characterization {
   std::string xml;
 };
 
+/// The cached product of the schedule stage: the flow result plus the digest
+/// of its FSMD, taken once when the stage computes. Hits, the integrity image
+/// and the map key all reuse it.
+struct Scheduled {
+  hls::FlowResult flow;
+  std::uint64_t netlist_digest = 0;
+};
+
 // Integrity images are little-endian u64 fields: a text is its length
 // followed by its bytes, a double its IEEE-754 bit pattern.
 std::vector<std::uint8_t> image_of_characterization(
@@ -30,10 +38,11 @@ std::vector<std::uint8_t> image_of_characterization(
   return image;
 }
 
-std::vector<std::uint8_t> image_of_flow(const hls::FlowResult& flow) {
+std::vector<std::uint8_t> image_of_schedule(const Scheduled& scheduled) {
+  const hls::FlowResult& flow = scheduled.flow;
   std::vector<std::uint8_t> image;
   bytes::Writer w(image);
-  w.u64(flow.fsmd.module.digest());
+  w.u64(scheduled.netlist_digest);
   w.u64(flow.fsm_states);
   w.u64(flow.ir_instrs_after);
   w.u64(flow.verilog.size());
@@ -227,28 +236,33 @@ void CompileService::execute(JobRecord& record) {
   // Source-level jobs schedule; netlist-level jobs enter at the map stage.
   std::shared_ptr<const hw::Module> module = req.module;
   if (!req.source.empty()) {
-    const auto flow = run_stage<hls::FlowResult>(
+    const auto scheduled = run_stage<Scheduled>(
         record, Stage::kSchedule, schedule_key(req.source, req.flow),
-        [&]() -> Result<hls::FlowResult> {
-          auto scheduled = hls::run_flow_schedule(req.source, req.flow);
-          if (!scheduled.ok()) return scheduled.status();
+        [&]() -> Result<Scheduled> {
+          auto design = hls::run_flow_schedule(req.source, req.flow);
+          if (!design.ok()) return design.status();
           // Mid-stage cancellation point: between scheduling/binding and
           // datapath generation. An aborted compute inserts nothing.
           if (record.cancelled.load(std::memory_order_relaxed)) {
             return Status::Error(ErrorCode::kCancelled,
                                  "job cancelled mid-schedule");
           }
-          return hls::finish_flow(scheduled.take());
+          auto finished = hls::finish_flow(design.take());
+          if (!finished.ok()) return finished.status();
+          Scheduled made{finished.take()};
+          made.netlist_digest = made.flow.fsmd.module.digest();
+          return made;
         },
-        image_of_flow,
-        [&](const hls::FlowResult& made) {
-          return cost::schedule(req.source.size(), made);
+        image_of_schedule,
+        [&](const Scheduled& made) {
+          return cost::schedule(req.source.size(), made.flow);
         });
-    if (flow == nullptr) return;
-    out.netlist_digest = flow->fsmd.module.digest();
-    out.fsm_states = flow->fsm_states;
-    // Aliasing share: the module lives inside the cached FlowResult.
-    module = std::shared_ptr<const hw::Module>(flow, &flow->fsmd.module);
+    if (scheduled == nullptr) return;
+    out.netlist_digest = scheduled->netlist_digest;
+    out.fsm_states = scheduled->flow.fsm_states;
+    // Aliasing share: the module lives inside the cached Scheduled.
+    module = std::shared_ptr<const hw::Module>(scheduled,
+                                               &scheduled->flow.fsmd.module);
   }
 
   if (module == nullptr) {

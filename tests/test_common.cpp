@@ -12,7 +12,9 @@
 #include <vector>
 
 #include "common/bits.hpp"
+#include "common/bytes.hpp"
 #include "common/crc.hpp"
+#include "common/fnv.hpp"
 #include "common/rng.hpp"
 #include "common/sha256.hpp"
 #include "common/status.hpp"
@@ -135,6 +137,48 @@ TEST(Sha256, SplitAtEveryOffsetMatchesOneShot) {
     Sha256 bytewise;
     for (const std::uint8_t byte : message) bytewise.update(&byte, 1);
     ASSERT_EQ(bytewise.digest(), want) << "length " << length;
+  }
+}
+
+// fnv::mix_words guards the compile-service cache images, so its one job is
+// to see every corruption a byte-wise FNV would: each whole word and each
+// tail byte must reach the hash through a bijection of the running state.
+TEST(Fnv, MixWordsSeesEverySingleBitFlip) {
+  Rng rng(0xF1F0);
+  // Lengths 0-67: every tail length 0-7 behind 0 to 8 whole words.
+  for (std::size_t length = 0; length < 68; ++length) {
+    std::vector<std::uint8_t> image(length);
+    for (auto& byte : image) byte = static_cast<std::uint8_t>(rng.next_u64());
+    const std::uint64_t clean = fnv::mix_words(fnv::kOffsetBasis, image);
+    for (std::size_t bit = 0; bit < 8 * length; ++bit) {
+      image[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+      ASSERT_NE(fnv::mix_words(fnv::kOffsetBasis, image), clean)
+          << "length " << length << " bit " << bit;
+      image[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+    }
+    ASSERT_EQ(fnv::mix_words(fnv::kOffsetBasis, image), clean);
+  }
+}
+
+TEST(Fnv, MixWordsFoldsLittleEndianWordsThenTailBytes) {
+  Rng rng(0x3E7);
+  for (std::size_t words = 0; words <= 9; ++words) {
+    std::vector<std::uint8_t> image;
+    bytes::Writer w(image);
+    std::uint64_t folded = fnv::kOffsetBasis;
+    for (std::size_t i = 0; i < words; ++i) {
+      const std::uint64_t word = rng.next_u64();
+      w.u64(word);
+      folded = fnv::mix_word(folded, word);
+    }
+    EXPECT_EQ(fnv::mix_words(fnv::kOffsetBasis, image), folded)
+        << words << " words";
+    // A tail goes byte by byte after the words.
+    const std::vector<std::uint8_t> tail = {0x01, 0x80, 0xFF};
+    w.raw(tail);
+    EXPECT_EQ(fnv::mix_words(fnv::kOffsetBasis, image),
+              fnv::mix_bytes(folded, tail))
+        << words << " words and a 3-byte tail";
   }
 }
 

@@ -213,6 +213,47 @@ TEST(PerfGates, SvcWarmPassAtLeast5xOverColdPass) {
 }
 
 // ---------------------------------------------------------------------------
+// svc: a characterize-stage hit vs computing the stage cold
+// ---------------------------------------------------------------------------
+
+TEST(PerfGates, CharacterizeHitAtLeast20xCheaperThanCold) {
+  // The default 600-point sweep, as DSE drivers characterize a target. The
+  // stage is timed from its stage_hook call to the schedule stage's; the span
+  // also covers hashing the small source into the schedule key.
+  const svc::CompileRequest request = svc::corpus::source_request(1);
+  Clock::time_point begun;
+  double stage_s = 0.0;
+  svc::ServiceOptions options;
+  options.stage_hook = [&](std::uint64_t, const svc::CompileRequest&,
+                           svc::Stage stage) {
+    if (stage == svc::Stage::kCharacterize) begun = Clock::now();
+    if (stage == svc::Stage::kSchedule) stage_s = seconds_since(begun);
+  };
+  const auto characterize = [&](svc::CompileService& service, bool want_hit) {
+    const svc::CompileOutcome outcome = service.run({request}).front();
+    EXPECT_TRUE(outcome.status.ok()) << outcome.status.to_string();
+    EXPECT_EQ(outcome.characterization_points, 600u);
+    EXPECT_EQ(outcome.stages.front().hit, want_hit);
+    return stage_s;
+  };
+
+  const double cold_s = best_of(5, [&] {
+    svc::CompileService fresh(options);
+    return characterize(fresh, false);
+  });
+  svc::CompileService service(options);
+  (void)characterize(service, false);
+  const double hit_s =
+      best_of(20, [&] { return characterize(service, true); });
+
+  const double ratio = cold_s / hit_s;
+  std::printf("[perf] svc characterize: cold %.3f ms, hit %.3f ms: %.1fx "
+              "(floor 20x)\n",
+              1e3 * cold_s, 1e3 * hit_s, ratio);
+  EXPECT_GE(ratio, 20.0);
+}
+
+// ---------------------------------------------------------------------------
 // FDIR: rollback to a checkpoint vs a cold reboot
 // ---------------------------------------------------------------------------
 

@@ -10,7 +10,9 @@
 
 #include <memory>
 #include <set>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -314,6 +316,81 @@ TEST(FlowCacheUnit, HitMissAccountingIsExact) {
   EXPECT_EQ(stats.bytes_in_use, 5u);
   EXPECT_EQ(stats.rot_detected, 0u);
   EXPECT_EQ(stats.rot_served, 0u);
+}
+
+TEST(FlowCacheUnit, ThrowingComputeReleasesItsLatch) {
+  // The elected compiler must release its latch when compute() throws;
+  // otherwise the next request for the key parks on it forever.
+  FlowCache cache;
+  EXPECT_THROW((void)cache.get_or_compute<std::string>(
+                   Stage::kMap, 9,
+                   []() -> std::shared_ptr<const std::string> {
+                     throw std::runtime_error("boom");
+                   },
+                   string_image),
+               std::runtime_error);
+  EXPECT_FALSE(cache.contains(Stage::kMap, 9));
+
+  bool hit = true;
+  bool waiter = true;
+  auto value = cache.get_or_compute<std::string>(
+      Stage::kMap, 9, [] { return make_artifact("after"); }, string_image,
+      &hit, &waiter);
+  ASSERT_NE(value, nullptr);
+  EXPECT_EQ(*value, "after");
+  EXPECT_FALSE(hit);
+  EXPECT_FALSE(waiter);
+
+  // A throwing image_of releases the latch the same way.
+  EXPECT_THROW((void)cache.get_or_compute<std::string>(
+                   Stage::kMap, 10, [] { return make_artifact("lost"); },
+                   [](const std::string&) -> std::vector<std::uint8_t> {
+                     throw std::runtime_error("no image");
+                   }),
+               std::runtime_error);
+  EXPECT_FALSE(cache.contains(Stage::kMap, 10));
+  EXPECT_EQ(*cache.get_or_compute<std::string>(
+                Stage::kMap, 10, [] { return make_artifact("kept"); },
+                string_image),
+            "kept");
+
+  const FlowCacheStats stats = cache.stats();
+  EXPECT_EQ(stats.misses, 4u);
+  EXPECT_EQ(stats.computes, 2u);
+  EXPECT_EQ(stats.inflight_waits, 0u);
+  EXPECT_EQ(stats.bytes_in_use, 9u);
+}
+
+TEST(FlowCacheUnit, ThrowingComputeWakesItsWaitersToNull) {
+  // A requester parked on the latch of a compute that throws wakes to null
+  // as a waiter (and so falls back to computing inline) while the exception
+  // reaches the compiler's caller alone.
+  FlowCache cache;
+  std::thread compiler([&] {
+    EXPECT_THROW((void)cache.get_or_compute<std::string>(
+                     Stage::kMap, 11,
+                     [&]() -> std::shared_ptr<const std::string> {
+                       while (cache.stats().inflight_waits == 0) {
+                         std::this_thread::yield();
+                       }
+                       throw std::runtime_error("boom");
+                     },
+                     string_image),
+                 std::runtime_error);
+  });
+  while (cache.stats().misses == 0) std::this_thread::yield();
+
+  bool hit = true;
+  bool waiter = false;
+  auto value = cache.get_or_compute<std::string>(
+      Stage::kMap, 11, [] { return make_artifact("never"); }, string_image,
+      &hit, &waiter);
+  compiler.join();
+  EXPECT_EQ(value, nullptr);
+  EXPECT_FALSE(hit);
+  EXPECT_TRUE(waiter);
+  EXPECT_FALSE(cache.contains(Stage::kMap, 11));
+  EXPECT_EQ(cache.stats().computes, 0u);
 }
 
 TEST(FlowCacheUnit, NullComputeInsertsNothing) {
