@@ -26,15 +26,6 @@ constexpr std::array<std::uint8_t, N> le(std::uint64_t value) {
   return out;
 }
 
-/// The u64 whose little-endian bytes are `data`: the inverse of le<8>.
-constexpr std::uint64_t load_le64(std::span<const std::uint8_t, 8> data) {
-  std::uint64_t value = 0;
-  for (std::size_t i = 0; i < 8; ++i) {
-    value |= static_cast<std::uint64_t>(data[i]) << (8 * i);
-  }
-  return value;
-}
-
 /// Appends little-endian fields to a byte vector.
 class Writer {
  public:
@@ -97,6 +88,9 @@ class Reader {
   std::uint64_t le(std::size_t n) {
     std::uint64_t value = 0;
     const std::span<const std::uint8_t> field = raw(n);
+    // Fully unrolled, a u64 read compiles to one load even at -O2, which
+    // fnv::mix_words relies on.
+#pragma GCC unroll 8
     for (std::size_t i = 0; i < field.size(); ++i) {
       value |= static_cast<std::uint64_t>(field[i]) << (8 * i);
     }

@@ -42,19 +42,24 @@ constexpr std::uint64_t mix_word(std::uint64_t hash, std::uint64_t value) {
   return (hash ^ value) * kPrime;
 }
 
-/// Folds `bytes` into `hash` one word per xor-multiply: each whole 8-byte
-/// word goes through mix_word as a little-endian u64, and the 0-7 tail bytes
-/// through mix_bytes. About 8x fewer multiplies than mix_bytes, with the
-/// same guarantee: every step is a bijection of the running hash, so two
-/// images that differ only within one word, or only in the tail, always
-/// hash differently.
-constexpr std::uint64_t mix_words(std::uint64_t hash,
-                                  std::span<const std::uint8_t> bytes) {
-  const std::size_t whole = bytes.size() - bytes.size() % 8;
-  for (std::size_t i = 0; i < whole; i += 8) {
-    hash = mix_word(hash, bytes::load_le64(bytes.subspan(i).first<8>()));
+/// Folds `bytes` into `hash` a word at a time: each whole 8-byte word, read
+/// little-endian, goes in through mix_word and is followed by the high half
+/// of the running hash, also through mix_word; the 0-7 tail bytes go through
+/// mix_bytes. A multiply only carries a difference upward: with the word
+/// alone, a flip of bit 63 leaves exactly bit 63 different, and a bit-63
+/// flip in any later word cancels it. Folding the high half back in spreads
+/// every difference over the whole word, so no flip pattern leaves the same
+/// difference whatever the state for a later word to cancel. Every step is a
+/// bijection of the running hash, so a change confined to one word or to the
+/// tail is always detected.
+inline std::uint64_t mix_words(std::uint64_t hash,
+                               std::span<const std::uint8_t> bytes) {
+  bytes::Reader words(bytes);
+  while (words.remaining() >= 8) {
+    hash = mix_word(hash, words.u64());
+    hash = mix_word(hash, hash >> 32);
   }
-  return mix_bytes(hash, bytes.subspan(whole));
+  return mix_bytes(hash, words.raw(words.remaining()));
 }
 
 }  // namespace hermes::fnv

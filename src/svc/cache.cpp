@@ -1,5 +1,6 @@
 #include "svc/cache.hpp"
 
+#include <exception>
 #include <span>
 #include <utility>
 
@@ -86,63 +87,50 @@ std::shared_ptr<const void> FlowCache::get_or_compute_erased(
     }
   }
 
-  // Elected compiler: run outside the lock so distinct keys overlap. The
-  // latch is released on every way out, a throwing compute() or image_of()
-  // included: the in-flight entry is dropped and the waiters wake to
-  // `published`, which stays null unless an entry was inserted. Otherwise
-  // the next requester of this key would park on a latch nobody releases.
-  class LatchRelease {
-   public:
-    LatchRelease(FlowCache& cache, std::uint64_t slot)
-        : cache_(cache), slot_(slot) {}
-    LatchRelease(const LatchRelease&) = delete;
-    LatchRelease& operator=(const LatchRelease&) = delete;
-    ~LatchRelease() { cache_.release_latch(slot_, published); }
-    std::shared_ptr<const void> published;
-
-   private:
-    FlowCache& cache_;
-    std::uint64_t slot_;
-  } release(*this, slot);
-
-  std::shared_ptr<const void> value = compute();
-  if (value == nullptr) return nullptr;
-  std::vector<std::uint8_t> image = image_of(value.get());
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++stats_.computes;
-    Entry entry;
-    entry.object = value;
-    entry.check = image_check(image);
-    stats_.bytes_in_use += image.size();
-    entry.image = std::move(image);
-    entry.tick = ++tick_;
-    entry.stage = stage;
-    entries_[slot] = std::move(entry);
-    // Injected eviction storm: spuriously shed the LRU half. Correctness
-    // must not depend on residency — storms only cost recompiles.
-    if (injector_ != nullptr && storm_point_ != fault::kNoFaultPoint &&
-        injector_->should_fire(storm_point_)) {
-      ++stats_.evict_storms;
-      const std::size_t survivors = (entries_.size() + 1) / 2;
-      while (entries_.size() > survivors) evict_lru_locked();
-    }
-    while (stats_.bytes_in_use > byte_budget_ && entries_.size() > 1) {
-      evict_lru_locked();
-    }
+  // Elected compiler: run outside the lock so distinct keys overlap. If
+  // compute() or image_of() throws, nothing is inserted and the latch is
+  // still released below, waking the waiters to null; only then does the
+  // exception go on to the caller. Otherwise the next requester of this key
+  // would park on a latch nobody releases.
+  std::shared_ptr<const void> value;
+  std::vector<std::uint8_t> image;
+  std::exception_ptr failure;
+  try {
+    value = compute();
+    if (value != nullptr) image = image_of(value.get());
+  } catch (...) {
+    failure = std::current_exception();
+    value = nullptr;
   }
-  release.published = value;
-  return value;
-}
 
-void FlowCache::release_latch(std::uint64_t slot,
-                              const std::shared_ptr<const void>& value) {
   std::shared_ptr<Inflight> mine;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     auto it = inflight_.find(slot);
-    mine = std::move(it->second);
+    mine = it->second;
     inflight_.erase(it);
+    if (value != nullptr) {
+      ++stats_.computes;
+      Entry entry;
+      entry.object = value;
+      entry.check = image_check(image);
+      stats_.bytes_in_use += image.size();
+      entry.image = std::move(image);
+      entry.tick = ++tick_;
+      entry.stage = stage;
+      entries_[slot] = std::move(entry);
+      // Injected eviction storm: spuriously shed the LRU half. Correctness
+      // must not depend on residency — storms only cost recompiles.
+      if (injector_ != nullptr && storm_point_ != fault::kNoFaultPoint &&
+          injector_->should_fire(storm_point_)) {
+        ++stats_.evict_storms;
+        const std::size_t survivors = (entries_.size() + 1) / 2;
+        while (entries_.size() > survivors) evict_lru_locked();
+      }
+      while (stats_.bytes_in_use > byte_budget_ && entries_.size() > 1) {
+        evict_lru_locked();
+      }
+    }
   }
   {
     std::lock_guard<std::mutex> parked(mine->mutex);
@@ -150,6 +138,8 @@ void FlowCache::release_latch(std::uint64_t slot,
     mine->done = true;
   }
   mine->cv.notify_all();
+  if (failure != nullptr) std::rethrow_exception(failure);
+  return value;
 }
 
 void FlowCache::evict_lru_locked() {

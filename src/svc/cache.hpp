@@ -12,9 +12,12 @@
 // a mismatch (storage rot, modeled by the `svc.cache.entry.rot` injection
 // point) counts as rot_detected, evicts the entry, and falls through to a
 // recompile. `rot_served` is pinned to zero by construction and asserted in
-// the soak suite. The check is fnv::mix_words, one xor-multiply per 8-byte
-// word, so a hit costs far less than the compute it saves; it is re-run
-// rather than memoized, since a memo would stop seeing rot in the image.
+// the soak suite. The check is fnv::mix_words, two multiplies per 8-byte
+// word against eight for byte-wise FNV, so a hit costs far less than the
+// compute it saves. A change within one word or the tail is always seen;
+// one spread over several words is missed only by chance, with no flip
+// pattern that always cancels. The check is re-run on every lookup rather
+// than memoized, since a memo would stop seeing rot in the image.
 //
 // Dedup invariant — one compile per digest: concurrent requesters of the
 // same (stage, key) elect one compiler; the rest park on a latch and share
@@ -111,10 +114,6 @@ class FlowCache {
       const std::function<std::vector<std::uint8_t>(const void*)>& image_of,
       bool* was_hit, bool* was_waiter);
 
-  /// Drops the in-flight entry of `slot` and wakes its waiters with
-  /// `value`; the elected compiler's last act, however it leaves.
-  void release_latch(std::uint64_t slot,
-                     const std::shared_ptr<const void>& value);
   void evict_lru_locked();                 ///< shed LRU entries over budget
   void erase_locked(std::uint64_t slot);   ///< drop one entry, byte-accounted
 

@@ -5,6 +5,7 @@
 #include <atomic>
 #include <mutex>
 #include <chrono>
+#include <initializer_list>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -141,26 +142,106 @@ TEST(Sha256, SplitAtEveryOffsetMatchesOneShot) {
 }
 
 // fnv::mix_words guards the compile-service cache images, so its one job is
-// to see every corruption a byte-wise FNV would: each whole word and each
-// tail byte must reach the hash through a bijection of the running state.
+// to see the corruptions a byte-wise FNV would: each whole word and each
+// tail byte must reach the hash through a bijection of the running state,
+// and a difference carried out of one word must not be cancelled by a
+// fixed flip pattern in the next.
+namespace {
+
+void flip(std::vector<std::uint8_t>& image, std::size_t bit) {
+  image[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+}
+
+std::vector<std::uint8_t> random_image(Rng& rng, std::size_t length) {
+  std::vector<std::uint8_t> image(length);
+  for (auto& byte : image) byte = static_cast<std::uint8_t>(rng.next_u64());
+  return image;
+}
+
+}  // namespace
+
 TEST(Fnv, MixWordsSeesEverySingleBitFlip) {
   Rng rng(0xF1F0);
   // Lengths 0-67: every tail length 0-7 behind 0 to 8 whole words.
   for (std::size_t length = 0; length < 68; ++length) {
-    std::vector<std::uint8_t> image(length);
-    for (auto& byte : image) byte = static_cast<std::uint8_t>(rng.next_u64());
+    std::vector<std::uint8_t> image = random_image(rng, length);
     const std::uint64_t clean = fnv::mix_words(fnv::kOffsetBasis, image);
     for (std::size_t bit = 0; bit < 8 * length; ++bit) {
-      image[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+      flip(image, bit);
       ASSERT_NE(fnv::mix_words(fnv::kOffsetBasis, image), clean)
           << "length " << length << " bit " << bit;
-      image[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+      flip(image, bit);
     }
     ASSERT_EQ(fnv::mix_words(fnv::kOffsetBasis, image), clean);
   }
 }
 
-TEST(Fnv, MixWordsFoldsLittleEndianWordsThenTailBytes) {
+// A multiply carries a bit-63 difference nowhere, so a bare xor-multiply
+// per word misses every pair of bit-63 flips and most flips confined to
+// the words' top bytes.
+TEST(Fnv, MixWordsSeesHighBitFlipsAcrossWords) {
+  constexpr std::size_t kWords = 16;
+  Rng rng(0x7B17);
+  std::vector<std::uint8_t> image = random_image(rng, 8 * kWords);
+  const std::uint64_t clean = fnv::mix_words(fnv::kOffsetBasis, image);
+  for (std::size_t i = 0; i < kWords; ++i) {
+    for (std::size_t j = i + 1; j < kWords; ++j) {
+      flip(image, 64 * i + 63);
+      flip(image, 64 * j + 63);
+      EXPECT_NE(fnv::mix_words(fnv::kOffsetBasis, image), clean)
+          << "bit 63 of words " << i << " and " << j;
+      flip(image, 64 * i + 63);
+      flip(image, 64 * j + 63);
+    }
+  }
+  // 2-8 distinct bits, each in the top byte (bits 56-63) of some word.
+  for (int trial = 0; trial < 20000; ++trial) {
+    const std::size_t count = 2 + rng.next_below(7);
+    std::vector<std::size_t> bits;
+    while (bits.size() < count) {
+      const std::size_t bit = 64 * rng.next_below(kWords) + 56 +
+                              rng.next_below(8);
+      if (std::find(bits.begin(), bits.end(), bit) == bits.end()) {
+        bits.push_back(bit);
+      }
+    }
+    for (const std::size_t bit : bits) flip(image, bit);
+    ASSERT_NE(fnv::mix_words(fnv::kOffsetBasis, image), clean)
+        << "trial " << trial << ", " << count << " bits";
+    for (const std::size_t bit : bits) flip(image, bit);
+  }
+}
+
+// Every pattern of one to three flipped bits over two adjacent words, the
+// place where a difference left by one word could be cancelled by the next.
+TEST(Fnv, MixWordsSeesEveryFlipOfUpToThreeBitsInTwoWords) {
+  Rng rng(0x3B175);
+  for (int round = 0; round < 4; ++round) {
+    // A lead word, then the two flipped ones, then a 3-byte tail.
+    std::vector<std::uint8_t> image = random_image(rng, 27);
+    const std::uint64_t clean = fnv::mix_words(fnv::kOffsetBasis, image);
+    // Bits are numbered from the start of the first flipped word.
+    const auto seen = [&](std::initializer_list<std::size_t> bits) {
+      for (const std::size_t bit : bits) flip(image, 64 + bit);
+      const bool changed = fnv::mix_words(fnv::kOffsetBasis, image) != clean;
+      for (const std::size_t bit : bits) flip(image, 64 + bit);
+      return changed;
+    };
+    for (std::size_t a = 0; a < 128; ++a) {
+      ASSERT_TRUE(seen({a})) << "round " << round << " bit " << a;
+      for (std::size_t b = a + 1; b < 128; ++b) {
+        ASSERT_TRUE(seen({a, b}))
+            << "round " << round << " bits " << a << " " << b;
+        for (std::size_t c = b + 1; c < 128; ++c) {
+          ASSERT_TRUE(seen({a, b, c})) << "round " << round << " bits " << a
+                                       << " " << b << " " << c;
+        }
+      }
+    }
+  }
+}
+
+TEST(Fnv, MixWordsFoldsEachWordThenTheHighHalfThenTailBytes) {
   Rng rng(0x3E7);
   for (std::size_t words = 0; words <= 9; ++words) {
     std::vector<std::uint8_t> image;
@@ -170,6 +251,7 @@ TEST(Fnv, MixWordsFoldsLittleEndianWordsThenTailBytes) {
       const std::uint64_t word = rng.next_u64();
       w.u64(word);
       folded = fnv::mix_word(folded, word);
+      folded = fnv::mix_word(folded, folded >> 32);
     }
     EXPECT_EQ(fnv::mix_words(fnv::kOffsetBasis, image), folded)
         << words << " words";
