@@ -10,6 +10,9 @@
 namespace hermes {
 
 /// Incremental CRC-32 (polynomial 0xEDB88320, init 0xFFFFFFFF, final xor).
+/// `update` folds eight bytes per step with slicing-by-8 tables built at
+/// compile time; only a tail under eight bytes takes the byte loop. Any
+/// split of the input across `update` calls gives the one-shot value.
 class Crc32 {
  public:
   Crc32();

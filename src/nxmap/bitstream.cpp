@@ -1,5 +1,6 @@
 #include "nxmap/bitstream.hpp"
 
+#include <bit>
 #include <map>
 
 #include "common/bytes.hpp"
@@ -81,7 +82,13 @@ std::uint32_t frame_crc(std::uint32_t column,
   Crc32 crc;
   crc.update(bytes::le<4>(column));
   crc.update(bytes::le<4>(static_cast<std::uint32_t>(words.size())));
-  for (std::uint32_t word : words) crc.update(bytes::le<4>(word));
+  // The payload is little-endian on the wire: on a little-endian host the
+  // words' own bytes are the frame bytes, so the CRC takes them in one pass.
+  if constexpr (std::endian::native == std::endian::little) {
+    crc.update(words.data(), words.size_bytes());
+  } else {
+    for (std::uint32_t word : words) crc.update(bytes::le<4>(word));
+  }
   return crc.value();
 }
 

@@ -65,6 +65,26 @@ TEST(BitstreamProperties, RoundTripThroughParse) {
   }
 }
 
+TEST(BitstreamProperties, FrameCrcIsCrcOfPackedFrameBytes) {
+  // frame_crc hashes the payload words' own bytes in one pass; that must
+  // equal the CRC-32 of the frame bytes the packer writes, for payloads that
+  // end on and off the CRC's 8-byte stride.
+  Rng rng(79);
+  for (std::size_t words = 0; words <= 40; ++words) {
+    BitstreamFrame frame;
+    frame.column = static_cast<std::uint32_t>(rng.next_u64());
+    for (std::size_t w = 0; w < words; ++w) {
+      frame.words.push_back(static_cast<std::uint32_t>(rng.next_u64()));
+    }
+    const std::vector<std::uint8_t> image =
+        pack_raw_bitstream(/*device_id=*/7, std::span(&frame, 1));
+    const std::span<const std::uint8_t> frame_bytes =
+        std::span(image).subspan(kBitstreamHeaderBytes, 8 + 4 * words);
+    EXPECT_EQ(frame_crc(frame.column, frame.words), crc32(frame_bytes))
+        << words << " words";
+  }
+}
+
 TEST(BitstreamProperties, EverySingleBitFlipIsRejected) {
   for (unsigned columns = 1; columns <= 4; ++columns) {
     std::vector<std::uint8_t> image = synthetic_image(columns);

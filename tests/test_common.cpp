@@ -68,6 +68,22 @@ TEST(Crc32, IncrementalMatchesOneShot) {
   crc.update(text.data(), 10);
   crc.update(text.data() + 10, text.size() - 10);
   EXPECT_EQ(crc.value(), crc32(text.data(), text.size()));
+
+  // The slicing-by-8 loop folds eight bytes at a time and the byte loop the
+  // tail; three-way splits at every offset move the seams through both.
+  Rng rng(31);
+  std::vector<std::uint8_t> data(67);
+  for (std::uint8_t& byte : data) byte = static_cast<std::uint8_t>(rng.next_u64());
+  const std::uint32_t one_shot = crc32(data);
+  for (std::size_t first = 0; first <= data.size(); ++first) {
+    for (std::size_t second = first; second <= data.size(); second += 5) {
+      Crc32 split;
+      split.update(std::span(data).first(first));
+      split.update(std::span(data).subspan(first, second - first));
+      split.update(std::span(data).subspan(second));
+      ASSERT_EQ(split.value(), one_shot) << "split at " << first << ", " << second;
+    }
+  }
 }
 
 TEST(Crc16, KnownVector) {
@@ -96,27 +112,60 @@ TEST(Sha256, MultiBlockMessage) {
 
 TEST(Sha256, FipsVectors) {
   // FIPS 180-4 / NIST example messages: one block, two blocks, and the
-  // million-'a' message fed in uneven chunks.
-  const std::string two_block =
-      "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq";
-  EXPECT_EQ(to_hex(sha256(std::span(
-                reinterpret_cast<const std::uint8_t*>(two_block.data()),
-                two_block.size()))),
-            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1");
-  const std::string long_block =
-      "abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmnhijklmno"
-      "ijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu";
-  EXPECT_EQ(to_hex(sha256(std::span(
-                reinterpret_cast<const std::uint8_t*>(long_block.data()),
-                long_block.size()))),
-            "cf5b16a778af8380036ce59e7b0492370b249b11e8f07a51afac45037afee9d1");
-  const std::vector<std::uint8_t> a(1'000'000, 'a');
-  Sha256 million;
-  for (std::size_t at = 0, step = 1; at < a.size(); at += step, step = step * 3 % 997 + 1) {
-    million.update(std::span(a).subspan(at, std::min(step, a.size() - at)));
+  // million-'a' message fed in uneven chunks. Each runs on the default
+  // hasher and on the portable one, which is the oracle below and so is held
+  // to the standard itself even on a CPU where sha256() never takes it.
+  EXPECT_FALSE(Sha256::portable().accelerated());
+  for (Sha256 (*make)() : {+[] { return Sha256(); }, &Sha256::portable}) {
+    const auto hex_of = [make](const std::string& message) {
+      Sha256 hasher = make();
+      hasher.update(message.data(), message.size());
+      return to_hex(hasher.digest());
+    };
+    EXPECT_EQ(hex_of("abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"),
+              "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1");
+    EXPECT_EQ(hex_of("abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmnhijklmno"
+                     "ijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu"),
+              "cf5b16a778af8380036ce59e7b0492370b249b11e8f07a51afac45037afee9d1");
+    const std::vector<std::uint8_t> a(1'000'000, 'a');
+    Sha256 million = make();
+    for (std::size_t at = 0, step = 1; at < a.size(); at += step, step = step * 3 % 997 + 1) {
+      million.update(std::span(a).subspan(at, std::min(step, a.size() - at)));
+    }
+    EXPECT_EQ(to_hex(million.digest()),
+              "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
   }
-  EXPECT_EQ(to_hex(million.digest()),
-            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
+}
+
+TEST(Sha256, ExtensionsMatchPortableAtEveryLength) {
+  if (!Sha256().accelerated()) {
+    GTEST_SKIP() << "CPU lacks the SHA extensions (sha_ni)";
+  }
+  Rng rng(180);
+  std::vector<std::uint8_t> data(1100);
+  for (std::uint8_t& byte : data) byte = static_cast<std::uint8_t>(rng.next_u64());
+  for (std::size_t length = 0; length <= data.size(); ++length) {
+    const std::span<const std::uint8_t> message = std::span(data).first(length);
+    Sha256 portable = Sha256::portable();
+    portable.update(message);
+    // Up to three random cuts, so block runs start mid-buffer and end in
+    // a tail.
+    Sha256 fast;
+    std::size_t at = 0;
+    for (int cut = 0; cut < 3 && at < length; ++cut) {
+      const std::size_t take = rng.next_below(length - at + 1);
+      fast.update(message.subspan(at, take));
+      at += take;
+    }
+    fast.update(message.subspan(at));
+    ASSERT_EQ(fast.digest(), portable.digest()) << "length " << length;
+  }
+
+  std::vector<std::uint8_t> mib(1 << 20);
+  for (std::uint8_t& byte : mib) byte = static_cast<std::uint8_t>(rng.next_u64());
+  Sha256 portable = Sha256::portable();
+  portable.update(mib);
+  EXPECT_EQ(sha256(mib), portable.digest());
 }
 
 TEST(Sha256, SplitAtEveryOffsetMatchesOneShot) {

@@ -414,7 +414,9 @@ TEST(OperatorSemantics, IrEvaluatorMatchesNetlistCell) {
       // FSMD builds for it.
       const auto expect_same = [&](const ir::Instr& instr, hw::CellKind kind,
                                    std::uint64_t x, std::uint64_t y) {
-        const std::uint64_t in[2] = {x, y};
+        // Sized for the evaluators' 3-operand reads (mux/select); the binary
+        // ops checked here never read the zero third operand.
+        const std::uint64_t in[3] = {x, y, 0};
         const std::uint64_t ir_value =
             ir::eval_instr(function, instr, [&](int i) { return in[i]; });
         const std::uint64_t cell_value = hw::eval_comb_cell(

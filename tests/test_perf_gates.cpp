@@ -9,7 +9,7 @@
 //
 // The checks beside each ratio make sure the timed arms did the work they
 // claim; the mechanisms' own suites (test_jit, test_sim_event, test_svc_*,
-// test_fdir) hold the rest of their correctness.
+// test_fdir, test_common) hold the rest of their correctness.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -22,6 +22,7 @@
 #include "boot/bl.hpp"
 #include "boot/loadlist.hpp"
 #include "common/rng.hpp"
+#include "common/sha256.hpp"
 #include "fdir/supervisor.hpp"
 #include "hw/jit/exec_memory.hpp"
 #include "hw/netlist.hpp"
@@ -336,6 +337,44 @@ TEST(PerfGates, FdirRollbackAtLeast5xCheaperThanColdReboot) {
               "per episode: %.1fx (floor 5x)\n",
               1e3 * reboot_s / kEpisodes, 1e3 * rollback_s / kEpisodes, ratio);
   EXPECT_GE(ratio, 5.0);
+}
+
+// ---------------------------------------------------------------------------
+// SHA-256: the SHA-extension compressor vs the portable round loop
+// ---------------------------------------------------------------------------
+
+TEST(PerfGates, Sha256ExtensionsAtLeast3xOverPortable) {
+  if (!Sha256().accelerated()) {
+    GTEST_SKIP() << "CPU lacks the SHA extensions (sha_ni)";
+  }
+  std::vector<std::uint8_t> payload(1 << 20);
+  Rng rng(256);
+  for (std::uint8_t& byte : payload) byte = static_cast<std::uint8_t>(rng.next_u64());
+
+  Sha256Digest fast_digest{};
+  Sha256Digest portable_digest{};
+  const double fast_s = best_of(5, [&] {
+    const Clock::time_point start = Clock::now();
+    Sha256 hasher;
+    hasher.update(payload);
+    fast_digest = hasher.digest();
+    return seconds_since(start);
+  });
+  const double portable_s = best_of(5, [&] {
+    const Clock::time_point start = Clock::now();
+    Sha256 hasher = Sha256::portable();
+    hasher.update(payload);
+    portable_digest = hasher.digest();
+    return seconds_since(start);
+  });
+  ASSERT_EQ(fast_digest, portable_digest);
+
+  const double mb = static_cast<double>(payload.size()) / 1e6;
+  const double ratio = portable_s / fast_s;
+  std::printf("[perf] sha256 1 MiB: extensions %.0f MB/s, portable %.0f MB/s: "
+              "%.1fx (floor 3x)\n",
+              mb / fast_s, mb / portable_s, ratio);
+  EXPECT_GE(ratio, 3.0);
 }
 
 }  // namespace

@@ -96,7 +96,9 @@ TEST(Eucalyptus, FromXmlReadsEveryNonTerminatorOp) {
                     std::string("operation=\"") + ir::to_string(op) + "\"");
     const auto loaded = hls::from_xml(renamed);
     EXPECT_EQ(loaded.ok(), !ir::is_terminator(op)) << ir::to_string(op);
-    if (loaded.ok()) EXPECT_EQ(loaded.value().front().op, op);
+    if (loaded.ok()) {
+      EXPECT_EQ(loaded.value().front().op, op);
+    }
   }
 }
 
