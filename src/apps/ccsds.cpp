@@ -8,11 +8,22 @@ namespace {
 
 constexpr std::uint8_t kIdlePattern = 0x55;
 
+/// A frame must have room for a data field after its header and FECF.
+Status check_frame_length(const TmFrameConfig& config) {
+  if (config.frame_length <= kTmPrimaryHeaderBytes + kTmFecfBytes) {
+    return Status::Error(
+        ErrorCode::kInvalidArgument,
+        format("frame length %zu leaves no data field", config.frame_length));
+  }
+  return Status::Ok();
+}
+
 }  // namespace
 
-std::vector<std::vector<std::uint8_t>> tm_frame_stream(
+Result<std::vector<std::vector<std::uint8_t>>> tm_frame_stream(
     std::span<const std::uint8_t> payload, const TmFrameConfig& config,
     std::uint8_t& master_count, std::uint8_t& vc_count) {
+  if (Status status = check_frame_length(config); !status.ok()) return status;
   std::vector<std::vector<std::uint8_t>> frames;
   const std::size_t data_bytes =
       config.frame_length - kTmPrimaryHeaderBytes - kTmFecfBytes;
@@ -50,6 +61,7 @@ std::vector<std::vector<std::uint8_t>> tm_frame_stream(
 
 Result<TmFrameInfo> tm_decode_frame(std::span<const std::uint8_t> frame,
                                     const TmFrameConfig& config) {
+  if (Status status = check_frame_length(config); !status.ok()) return status;
   if (frame.size() != config.frame_length) {
     return Status::Error(ErrorCode::kIntegrityError,
                          format("frame length %zu, expected %zu", frame.size(),
@@ -66,6 +78,15 @@ Result<TmFrameInfo> tm_decode_frame(std::span<const std::uint8_t> frame,
       static_cast<std::uint16_t>(frame[0] << 8 | frame[1]);
   if ((word0 >> 14) != 0) {
     return Status::Error(ErrorCode::kIntegrityError, "bad TM version");
+  }
+  // The encoder writes neither an OCF nor a data field status: a frame that
+  // carries one would not re-encode to the same bytes.
+  if ((word0 & 1) != 0) {
+    return Status::Error(ErrorCode::kIntegrityError, "unexpected OCF flag");
+  }
+  if (frame[4] != 0 || frame[5] != 0) {
+    return Status::Error(ErrorCode::kIntegrityError,
+                         "non-zero data field status");
   }
   info.spacecraft_id = (word0 >> 4) & 0x3FF;
   info.virtual_channel = (word0 >> 1) & 0x7;
@@ -85,7 +106,7 @@ Result<std::vector<std::uint8_t>> tm_decode_stream(
   for (std::size_t i = 0; i < frames.size(); ++i) {
     auto info = tm_decode_frame(frames[i], config);
     if (!info.ok()) {
-      return Status::Error(ErrorCode::kIntegrityError,
+      return Status::Error(info.status().code(),
                            format("frame %zu: %s", i,
                                   info.status().message().c_str()));
     }

@@ -29,7 +29,9 @@ inline constexpr std::size_t kTmFecfBytes = 2;
 /// Splits `payload` into consecutive TM frames (the last frame is padded
 /// with the CCSDS idle pattern 0x55). Frame counters continue across calls
 /// through `master_count` / `vc_count` (wrap at 256 like the 8-bit fields).
-std::vector<std::vector<std::uint8_t>> tm_frame_stream(
+/// kInvalidArgument, with the counters untouched, when `frame_length` leaves
+/// no data field.
+Result<std::vector<std::vector<std::uint8_t>>> tm_frame_stream(
     std::span<const std::uint8_t> payload, const TmFrameConfig& config,
     std::uint8_t& master_count, std::uint8_t& vc_count);
 
@@ -41,7 +43,9 @@ struct TmFrameInfo {
   std::vector<std::uint8_t> data;  ///< data field (padding included)
 };
 
-/// Validates one frame (length, FECF) and extracts header + data field.
+/// Validates one frame (length, FECF, and the header fields the encoder
+/// always writes as zero) and extracts header + data field.
+/// kInvalidArgument when `config.frame_length` leaves no data field.
 Result<TmFrameInfo> tm_decode_frame(std::span<const std::uint8_t> frame,
                                     const TmFrameConfig& config);
 

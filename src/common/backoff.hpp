@@ -2,11 +2,10 @@
 //
 // Every retry path idles `base << attempt` cycles before re-attempting: the
 // AXI master between SLVERR retries, the eFPGA programming path between frame
-// re-writes, the dataflow engine between node re-executions, and the NoC
-// source ports between beat re-injections. The ladders were historically
-// reimplemented at each site; this helper is the single definition, with the
-// shift saturated so a runaway attempt counter degrades to "wait forever
-// minus one" instead of shifting into undefined behavior.
+// re-writes, and the dataflow engine between node re-executions. The ladders
+// were historically reimplemented at each site; this helper is the single
+// definition, with the shift saturated so a runaway attempt counter degrades
+// to "wait forever minus one" instead of shifting into undefined behavior.
 #pragma once
 
 #include <cstdint>

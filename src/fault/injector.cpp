@@ -127,11 +127,6 @@ constexpr std::string_view kCatalog[] = {
     "df.node.transient",  // dataflow node firing fails with kInternal
     "df.node.overrun",    // dataflow node firing blows its deadline
     "df.node.permanent",  // dataflow node firing fails permanently
-    "noc.arb.stall",      // crossbar arbiter withholds grants to one endpoint
-    "noc.beat.drop",      // granted beat lost between port and endpoint
-    "noc.beat.corrupt",   // granted beat's payload flipped in flight
-    "noc.credit.leak",    // returning flow-control credit lost on the fabric
-    "noc.endpoint.wedge", // endpoint stops consuming until re-admitted
     "svc.cache.entry.rot",   // compile-cache artifact image rotted in storage
     "svc.cache.evict.storm", // compile-cache spuriously sheds half its entries
 };

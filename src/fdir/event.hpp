@@ -41,9 +41,7 @@ namespace hermes::fdir {
   /* dataflow node re-execution ladder */                                     \
   X(kDataflow, "dataflow")                                                    \
   /* the FDIR supervisor itself */                                            \
-  X(kSupervisor, "supervisor")                                                \
-  /* interconnect crossbar (credits, CRC, watchdogs) */                       \
-  X(kNoc, "noc")
+  X(kSupervisor, "supervisor")
 HERMES_ENUM(Layer, std::uint8_t, HERMES_FDIR_LAYERS)
 inline constexpr std::size_t kNumLayers = enum_count<Layer>;
 

@@ -18,9 +18,6 @@ IsolationAction PolicyEngine::isolation_for(Layer layer) {
       return IsolationAction::kFenceMemory;
     case Layer::kDataflow:
       return IsolationAction::kShedDataflow;
-    case Layer::kNoc:
-      // The event's `detail` carries the containment domain by contract.
-      return IsolationAction::kQuarantineNocDomain;
     case Layer::kSupervisor:
       return IsolationAction::kNone;
   }

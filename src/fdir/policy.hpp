@@ -38,9 +38,7 @@ namespace hermes::fdir {
   /* degrade: shed non-critical dataflow work */                              \
   X(kShedDataflow, "shed_dataflow")                                           \
   /* restore the last known-good checkpoint */                                \
-  X(kRollback, "rollback")                                                    \
-  /* quarantine + drain one NoC containment domain */                         \
-  X(kQuarantineNocDomain, "quarantine_noc_domain")
+  X(kRollback, "rollback")
 HERMES_ENUM(IsolationAction, std::uint8_t, HERMES_ISOLATION_ACTIONS)
 
 struct PolicyConfig {

@@ -4,7 +4,6 @@
 
 #include "common/fnv.hpp"
 #include "common/strings.hpp"
-#include "noc/noc.hpp"
 
 namespace hermes::fdir {
 
@@ -36,8 +35,6 @@ std::uint64_t FdirReport::fingerprint() const {
   mix(suspensions);
   mix(fences);
   mix(sheds);
-  mix(noc_quarantines);
-  mix(noc_readmissions);
   mix(safe_mode_entries);
   mix(suppressed);
   mix(static_cast<std::uint64_t>(final_mode));
@@ -69,7 +66,6 @@ std::string FdirReport::render() const {
   out << format(
       "  checkpoints %llu taken / %llu refused; restarts %llu; rollbacks "
       "%llu; quarantines %llu; suspensions %llu; fences %llu; sheds %llu; "
-      "noc quarantines %llu / readmissions %llu; "
       "safe-mode entries %llu; suppressed %llu; final mode %s\n",
       static_cast<unsigned long long>(checkpoints_taken),
       static_cast<unsigned long long>(checkpoints_refused),
@@ -79,8 +75,6 @@ std::string FdirReport::render() const {
       static_cast<unsigned long long>(suspensions),
       static_cast<unsigned long long>(fences),
       static_cast<unsigned long long>(sheds),
-      static_cast<unsigned long long>(noc_quarantines),
-      static_cast<unsigned long long>(noc_readmissions),
       static_cast<unsigned long long>(safe_mode_entries),
       static_cast<unsigned long long>(suppressed), to_string(final_mode));
   return out.str();
@@ -110,11 +104,6 @@ void FdirSupervisor::attach_hypervisor(hv::Hypervisor* hv,
   hv_ = hv;
   system_partition_ = system_partition;
   if (hv_) hv_->attach_fdir(&bus_);
-}
-
-void FdirSupervisor::attach_noc(noc::Crossbar* fabric) {
-  noc_ = fabric;
-  if (noc_) noc_->attach_fdir(&bus_);
 }
 
 Status FdirSupervisor::checkpoint() {
@@ -160,7 +149,6 @@ void FdirSupervisor::enter_safe_mode() {
   if (mode_ == FdirMode::kSafe) return;
   mode_ = FdirMode::kSafe;
   efpga_quarantined_ = true;  // safe mode parks the accelerator too
-  if (noc_) noc_->quarantine_all();  // ...and the whole fabric
   ++report_.safe_mode_entries;
 }
 
@@ -237,10 +225,6 @@ void FdirSupervisor::execute(const Decision& decision) {
       if (status.ok()) {
         suspended_partitions_.insert(decision.detail);
         ++report_.suspensions;
-        // A suspended partition's NoC ports reject cleanly from now on.
-        if (noc_) {
-          noc_->mask_partition(static_cast<hv::PartitionId>(decision.detail));
-        }
         enter_degraded();
       }
       record(decision, ~0ULL, status.ok());
@@ -300,9 +284,6 @@ void FdirSupervisor::execute(const Decision& decision) {
       }
       // Rung 3: safe mode — recovery is out of moves.
       if (recovered) {
-        // The restored state predates the fault: quarantined containment
-        // domains are re-admitted with reset endpoints and credits.
-        if (noc_) report_.noc_readmissions += noc_->readmit_all();
         enter_degraded();
       } else {
         enter_safe_mode();
@@ -310,19 +291,6 @@ void FdirSupervisor::execute(const Decision& decision) {
       record(decision, checkpoint_id, recovered);
       checkpoints_.set_recovering(false);
       recovering_ = false;
-      break;
-    }
-    case IsolationAction::kQuarantineNocDomain: {
-      const unsigned domain = decision.detail;
-      if (!noc_ || domain >= noc_->num_domains() ||
-          noc_->domain_quarantined(domain)) {
-        ++report_.suppressed;
-        break;
-      }
-      noc_->quarantine_domain(domain);
-      ++report_.noc_quarantines;
-      enter_degraded();
-      record(decision, ~0ULL, true);
       break;
     }
   }

@@ -34,10 +34,6 @@
 #include "fdir/policy.hpp"
 #include "hv/hypervisor.hpp"
 
-namespace hermes::noc {
-class Crossbar;
-}
-
 namespace hermes::fdir {
 
 /// Mission posture, monotone for a given run: kNominal → kDegraded → kSafe.
@@ -84,8 +80,6 @@ struct FdirReport {
   std::uint64_t suspensions = 0;
   std::uint64_t fences = 0;
   std::uint64_t sheds = 0;
-  std::uint64_t noc_quarantines = 0;   ///< NoC containment domains parked
-  std::uint64_t noc_readmissions = 0;  ///< domains re-admitted post-recovery
   std::uint64_t safe_mode_entries = 0;
   std::uint64_t suppressed = 0;  ///< decisions that were already in effect
   FdirMode final_mode = FdirMode::kNominal;
@@ -115,12 +109,6 @@ class FdirSupervisor {
   /// PartitionApi issued on its behalf (the XtratuM way: the supervisor is
   /// a system partition's payload, not a backdoor).
   void attach_hypervisor(hv::Hypervisor* hv, hv::PartitionId system_partition);
-
-  /// Wires the interconnect: attaches the bus so fabric detections (Layer::
-  /// kNoc, containment domain in `detail`) reach the policy engine, and lets
-  /// the supervisor quarantine/drain/re-admit domains, park the fabric in
-  /// safe mode, and mask a suspended partition's ports.
-  void attach_noc(noc::Crossbar* fabric);
 
   /// Takes a checkpoint now (refuses cleanly when not quiescent/clean —
   /// see CheckpointManager::take).
@@ -163,7 +151,6 @@ class FdirSupervisor {
 
   hv::Hypervisor* hv_ = nullptr;
   hv::PartitionId system_partition_ = hv::kNoPartition;
-  noc::Crossbar* noc_ = nullptr;
 
   bool efpga_quarantined_ = false;
   bool fenced_ = false;

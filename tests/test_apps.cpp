@@ -13,6 +13,7 @@
 #include "apps/fixmath.hpp"
 #include "apps/kernels.hpp"
 #include "apps/vbn.hpp"
+#include "common/crc.hpp"
 #include "common/rng.hpp"
 #include "hls/flow.hpp"
 #include "hls/testbench.hpp"
@@ -231,7 +232,7 @@ TEST(CcsdsTm, FrameStreamRoundTrip) {
   for (auto& byte : payload) byte = static_cast<std::uint8_t>(rng.next_u64());
   TmFrameConfig config;
   std::uint8_t master = 0, vc = 0;
-  const auto frames = tm_frame_stream(payload, config, master, vc);
+  const auto frames = tm_frame_stream(payload, config, master, vc).value();
   // 248 data bytes per 256-byte frame -> ceil(1000/248) = 5 frames.
   EXPECT_EQ(frames.size(), 5u);
   for (const auto& frame : frames) EXPECT_EQ(frame.size(), 256u);
@@ -251,7 +252,7 @@ TEST(CcsdsTm, HeaderFields) {
   config.virtual_channel = 5;
   std::uint8_t master = 10, vc = 3;
   const std::uint8_t payload[4] = {1, 2, 3, 4};
-  const auto frames = tm_frame_stream(payload, config, master, vc);
+  const auto frames = tm_frame_stream(payload, config, master, vc).value();
   ASSERT_EQ(frames.size(), 1u);
   auto info = tm_decode_frame(frames[0], config);
   ASSERT_TRUE(info.ok());
@@ -267,7 +268,7 @@ TEST(CcsdsTm, FecfDetectsCorruption) {
   TmFrameConfig config;
   std::uint8_t master = 0, vc = 0;
   const std::uint8_t payload[16] = {0};
-  auto frames = tm_frame_stream(payload, config, master, vc);
+  auto frames = tm_frame_stream(payload, config, master, vc).value();
   Rng rng(5);
   for (int trial = 0; trial < 40; ++trial) {
     auto corrupted = frames[0];
@@ -281,7 +282,7 @@ TEST(CcsdsTm, CounterGapDetectsFrameLoss) {
   TmFrameConfig config;
   std::uint8_t master = 0, vc = 0;
   std::vector<std::uint8_t> payload(600, 0xAB);
-  auto frames = tm_frame_stream(payload, config, master, vc);
+  auto frames = tm_frame_stream(payload, config, master, vc).value();
   ASSERT_GE(frames.size(), 3u);
   frames.erase(frames.begin() + 1);  // drop the middle frame
   const auto decoded = tm_decode_stream(frames, config);
@@ -293,7 +294,7 @@ TEST(CcsdsTm, CountersWrapAt256) {
   TmFrameConfig config;
   std::uint8_t master = 254, vc = 254;
   std::vector<std::uint8_t> payload(700, 1);  // 3 frames: 254, 255, 0
-  const auto frames = tm_frame_stream(payload, config, master, vc);
+  const auto frames = tm_frame_stream(payload, config, master, vc).value();
   ASSERT_EQ(frames.size(), 3u);
   auto decoded = tm_decode_stream(frames, config);
   EXPECT_TRUE(decoded.ok()) << "wraparound must not look like frame loss";
@@ -313,13 +314,147 @@ TEST(CcsdsTm, EndToEndCompressedDownlink) {
 
   TmFrameConfig config;
   std::uint8_t master = 0, vc = 0;
-  const auto frames = tm_frame_stream(compressed, config, master, vc);
+  const auto frames = tm_frame_stream(compressed, config, master, vc).value();
   auto downlinked = tm_decode_stream(frames, config);
   ASSERT_TRUE(downlinked.ok());
   downlinked.value().resize(compressed.size());  // strip idle padding
   auto restored = rice_decode(downlinked.value(), samples.size(), {});
   ASSERT_TRUE(restored.ok());
   EXPECT_EQ(restored.value(), samples);
+}
+
+// Recomputes a frame's FECF so a mutation reaches the header checks.
+void refresh_fecf(std::vector<std::uint8_t>& frame) {
+  if (frame.size() < kTmFecfBytes) return;
+  const std::uint16_t fecf = crc16_ccitt(
+      std::span<const std::uint8_t>(frame).first(frame.size() - kTmFecfBytes));
+  frame[frame.size() - 2] = static_cast<std::uint8_t>(fecf >> 8);
+  frame[frame.size() - 1] = static_cast<std::uint8_t>(fecf);
+}
+
+TEST(CcsdsTm, FrameLengthWithoutDataFieldIsRejected) {
+  const std::uint8_t payload[3] = {1, 2, 3};
+  for (std::size_t length = 0;
+       length <= kTmPrimaryHeaderBytes + kTmFecfBytes + 1; ++length) {
+    TmFrameConfig config;
+    config.frame_length = length;
+    const bool has_data_field =
+        length > kTmPrimaryHeaderBytes + kTmFecfBytes;
+    std::uint8_t master = 7, vc = 9;
+    const auto frames = tm_frame_stream(payload, config, master, vc);
+    // A frame whose FECF is valid, so only the length can reject it.
+    std::vector<std::uint8_t> frame(length, 0);
+    refresh_fecf(frame);
+    const auto info = tm_decode_frame(frame, config);
+    if (has_data_field) {
+      ASSERT_TRUE(frames.ok()) << frames.status().to_string();
+      EXPECT_EQ(frames.value().size(), 3u);
+      ASSERT_TRUE(info.ok()) << info.status().to_string();
+      EXPECT_EQ(info.value().data.size(), 1u);
+      continue;
+    }
+    ASSERT_FALSE(frames.ok()) << "length " << length;
+    EXPECT_EQ(frames.status().code(), ErrorCode::kInvalidArgument);
+    EXPECT_EQ(master, 7) << "counters must not advance on a rejected config";
+    EXPECT_EQ(vc, 9);
+    ASSERT_FALSE(info.ok()) << "length " << length;
+    EXPECT_EQ(info.status().code(), ErrorCode::kInvalidArgument);
+  }
+}
+
+TEST(CcsdsTm, HeaderFieldsTheEncoderNeverWritesAreRejected) {
+  TmFrameConfig config;
+  std::uint8_t master = 0, vc = 0;
+  const std::uint8_t payload[8] = {9, 8, 7, 6, 5, 4, 3, 2};
+  const auto frames = tm_frame_stream(payload, config, master, vc).value();
+  ASSERT_TRUE(tm_decode_frame(frames[0], config).ok());
+  for (const std::size_t byte : {std::size_t{1}, std::size_t{4},
+                                 std::size_t{5}}) {
+    auto forged = frames[0];
+    forged[byte] |= 1;  // byte 1 bit 0 is the OCF flag; 4-5 the status
+    refresh_fecf(forged);
+    const auto info = tm_decode_frame(forged, config);
+    ASSERT_FALSE(info.ok()) << "byte " << byte;
+    EXPECT_EQ(info.status().code(), ErrorCode::kIntegrityError);
+  }
+}
+
+// Seeded mutation loop over the decoder: bit flips, truncations, splices and
+// frame-length lies, each with the FECF recomputed most of the time so the
+// mutation reaches the header checks. The decoder must never crash, and a
+// frame it accepts must re-encode from its decoded fields to the same bytes.
+TEST(CcsdsTm, MutatedFramesDecodeTotallyAndReencodeExactly) {
+  Rng rng(0x7C3D);
+  std::size_t accepted = 0;
+  std::size_t rejected = 0;
+  // One frame of a random stream: random header fields, counters and data.
+  const auto random_frame = [&rng](std::size_t frame_length) {
+    TmFrameConfig config;
+    config.spacecraft_id = static_cast<std::uint16_t>(rng.next_below(1024));
+    config.virtual_channel = static_cast<std::uint8_t>(rng.next_below(8));
+    config.frame_length = frame_length;
+    std::vector<std::uint8_t> payload(rng.next_below(3 * frame_length));
+    for (auto& byte : payload) byte = static_cast<std::uint8_t>(rng.next_u64());
+    std::uint8_t master = static_cast<std::uint8_t>(rng.next_u64());
+    std::uint8_t vc = static_cast<std::uint8_t>(rng.next_u64());
+    const auto frames = tm_frame_stream(payload, config, master, vc).value();
+    return frames[rng.next_below(frames.size())];
+  };
+  for (int trial = 0; trial < 4000; ++trial) {
+    TmFrameConfig config;
+    config.frame_length = static_cast<std::size_t>(rng.next_in(9, 40));
+    std::vector<std::uint8_t> frame = random_frame(config.frame_length);
+
+    TmFrameConfig decode_config = config;
+    switch (rng.next_below(4)) {
+      case 0: {  // bit flips, biased towards the header
+        const std::uint64_t flips = 1 + rng.next_below(3);
+        for (std::uint64_t i = 0; i < flips; ++i) {
+          const std::size_t at =
+              rng.next_bool(0.5) ? rng.next_below(kTmPrimaryHeaderBytes)
+                                 : rng.next_below(frame.size());
+          frame[at] ^= static_cast<std::uint8_t>(1u << rng.next_below(8));
+        }
+        break;
+      }
+      case 1:  // truncation, sometimes with the length lie to match
+        frame.resize(rng.next_below(frame.size()));
+        if (rng.next_bool(0.5)) decode_config.frame_length = frame.size();
+        break;
+      case 2: {  // splice: the head of one frame, the tail of another
+        const std::vector<std::uint8_t> other = random_frame(frame.size());
+        const std::size_t cut = rng.next_below(frame.size() + 1);
+        std::copy(other.begin() + static_cast<std::ptrdiff_t>(cut), other.end(),
+                  frame.begin() + static_cast<std::ptrdiff_t>(cut));
+        break;
+      }
+      default:  // a frame-length lie, the frame resized to match or not
+        decode_config.frame_length = rng.next_below(frame.size() + 4);
+        if (rng.next_bool(0.5)) frame.resize(decode_config.frame_length);
+        break;
+    }
+    if (rng.next_bool(0.9)) refresh_fecf(frame);
+
+    const auto info = tm_decode_frame(frame, decode_config);
+    if (!info.ok()) {
+      ++rejected;
+      continue;
+    }
+    ++accepted;
+    TmFrameConfig reencode_config = decode_config;
+    reencode_config.spacecraft_id = info.value().spacecraft_id;
+    reencode_config.virtual_channel = info.value().virtual_channel;
+    std::uint8_t re_master = info.value().master_count;
+    std::uint8_t re_vc = info.value().vc_count;
+    const auto reencoded = tm_frame_stream(info.value().data, reencode_config,
+                                           re_master, re_vc);
+    ASSERT_TRUE(reencoded.ok()) << trial;
+    ASSERT_EQ(reencoded.value().size(), 1u) << trial;
+    ASSERT_EQ(reencoded.value()[0], frame) << "trial " << trial;
+  }
+  // Both outcomes must be exercised for the invariant to mean anything.
+  EXPECT_GT(accepted, 100u);
+  EXPECT_GT(rejected, 100u);
 }
 
 }  // namespace

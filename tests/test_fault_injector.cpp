@@ -14,7 +14,6 @@
 #include "dataflow/taskgraph.hpp"
 #include "fault/injector.hpp"
 #include "hv/hypervisor.hpp"
-#include "noc/noc.hpp"
 #include "svc/cache.hpp"
 
 namespace hermes::fault {
@@ -189,8 +188,6 @@ TEST(Plans, CatalogCoversEveryRegisteredPoint) {
   df::DataflowOptions df_options;
   df_options.injector = &inj;
   (void)df::simulate_dataflow(graph, 1, df_options);
-  noc::Crossbar fabric(noc::FabricConfig{}, {{"p0"}}, {{"e0"}});
-  fabric.attach_injector(&inj);
   svc::FlowCache cache;
   cache.attach_injector(&inj);
 

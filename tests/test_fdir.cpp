@@ -17,8 +17,6 @@
 #include "fault/scrub_memory.hpp"
 #include "fdir/supervisor.hpp"
 #include "hv/hypervisor.hpp"
-#include "noc/noc.hpp"
-#include "noc/workload.hpp"
 #include "nxmap/bitstream.hpp"
 
 namespace hermes::fdir {
@@ -613,164 +611,6 @@ TEST(Supervisor, ExhaustedMemoryEventFencesDdrWrites) {
   std::uint8_t readback[1] = {0};
   EXPECT_TRUE(env.soc.read_bytes(addr, readback).ok());
   EXPECT_EQ(readback[0], 0xAB);
-}
-
-// ---------------------------------------------------------------------------
-// Supervisor: NoC containment domains
-// ---------------------------------------------------------------------------
-
-/// A two-domain fabric for supervisor isolation scenarios. Local watchdog
-/// quarantine is off: isolation decisions are the policy engine's to make.
-noc::Crossbar two_domain_fabric(int fault_domain_filter = -1) {
-  noc::FabricConfig config;
-  config.beat_timeout_cycles = 24;
-  config.retry_backoff_cycles = 2;
-  config.quarantine_on_watchdog = false;
-  config.run_deadline_cycles = 50'000;
-  config.fault_domain_filter = fault_domain_filter;
-  return noc::Crossbar(config, {{"hv0", 0, 1, 8, /*owner=*/0}},
-                       {{"victim", 0}, {"bystander", 1}});
-}
-
-std::vector<noc::BeatRequest> beats_to(std::uint32_t endpoint,
-                                       std::uint32_t count) {
-  std::vector<noc::BeatRequest> beats(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    beats[i] = {i, endpoint, 0x1000ULL * (endpoint + 1) + i};
-  }
-  return beats;
-}
-
-TEST(Supervisor, NocRetryExhaustionQuarantinesOnlyTheFaultedDomain) {
-  noc::Crossbar fabric = two_domain_fabric(/*fault_domain_filter=*/0);
-  fault::FaultPlan plan;
-  plan.seed = 5;
-  plan.points.push_back({"noc.beat.drop", {.probability = 1.0}});
-  fault::FaultInjector injector(plan);
-  fabric.attach_injector(&injector);
-
-  FdirBus bus(4096);
-  FdirSupervisor supervisor({}, bus);
-  supervisor.attach_noc(&fabric);
-
-  // The victim's lone beat is dropped until its retry budget runs out; one
-  // kExhausted event is enough for escalation-exhausted to quarantine the
-  // domain but stays under the repeated-uncorrectable rollback threshold
-  // (kExhausted outranks kUncorrectable, so each one also accrues there).
-  // The bystander domain's traffic is untouched.
-  fabric.bind_workload(0, beats_to(0, 1));
-  fabric.bind_workload(0, beats_to(1, 6));
-  const noc::FabricResult result = fabric.run();
-  ASSERT_TRUE(result.status.ok()) << result.status.to_string();
-  EXPECT_GT(result.domains[0].failed, 0u);
-  EXPECT_EQ(result.domains[1].completed, 6u);
-
-  supervisor.poll();
-  EXPECT_TRUE(fabric.domain_quarantined(0));
-  EXPECT_FALSE(fabric.domain_quarantined(1));
-  EXPECT_EQ(supervisor.mode(), FdirMode::kDegraded);
-  EXPECT_GE(supervisor.report().noc_quarantines, 1u);
-  bool found = false;
-  for (const FdirActionRecord& action : supervisor.report().actions) {
-    if (action.action != IsolationAction::kQuarantineNocDomain) continue;
-    found = true;
-    EXPECT_TRUE(action.ok);
-    EXPECT_EQ(action.layer, Layer::kNoc);
-    EXPECT_EQ(action.detail, 0u);  // the containment domain
-  }
-  EXPECT_TRUE(found);
-}
-
-TEST(Supervisor, RollbackReadmitsQuarantinedNocDomains) {
-  boot::BootEnvironment env;
-  boot_programmed(env);
-  fault::FaultPlan rot;
-  rot.seed = 33;
-  rot.points.push_back({"efpga.config.rot", {.probability = 1.0}});
-  fault::FaultInjector injector(rot);
-  env.soc.attach_injector(&injector);
-
-  FdirBus bus(4096);
-  FdirConfig config;
-  config.max_restart_attempts = 0;
-  FdirSupervisor supervisor(config, bus);
-  supervisor.attach_soc(&env.soc, &injector, rot);
-  ASSERT_TRUE(supervisor.checkpoint().ok());
-
-  noc::Crossbar fabric = two_domain_fabric();
-  supervisor.attach_noc(&fabric);
-  fabric.quarantine_domain(0);  // isolated during an earlier fault episode
-
-  for (int pass = 0; pass < 32 && supervisor.report().rollbacks == 0; ++pass) {
-    (void)env.soc.scrub_efpga();
-    supervisor.poll();
-  }
-  ASSERT_EQ(supervisor.report().rollbacks, 1u) << supervisor.report().render();
-  // The rollback restored pre-fault state: the quarantined domain rides along.
-  EXPECT_EQ(supervisor.report().noc_readmissions, 1u);
-  EXPECT_FALSE(fabric.domain_quarantined(0));
-
-  fabric.bind_workload(0, beats_to(0, 4));
-  const noc::FabricResult result = fabric.run();
-  ASSERT_TRUE(result.status.ok()) << result.status.to_string();
-  EXPECT_EQ(result.domains[0].completed, 4u);
-}
-
-TEST(Supervisor, SafeModeParksTheWholeFabric) {
-  FdirBus bus(1024);
-  FdirSupervisor supervisor({}, bus);
-  noc::Crossbar fabric = two_domain_fabric();
-  supervisor.attach_noc(&fabric);
-
-  // Repeated uncorrectables with no SoC to restart or roll back: the ladder
-  // lands in safe mode, which parks every containment domain.
-  bus.publish(make_event(Layer::kMemory, Severity::kUncorrectable, 0, 10));
-  bus.publish(make_event(Layer::kMemory, Severity::kUncorrectable, 0, 20));
-  supervisor.poll();
-  ASSERT_EQ(supervisor.mode(), FdirMode::kSafe);
-  for (unsigned domain = 0; domain < fabric.num_domains(); ++domain) {
-    EXPECT_TRUE(fabric.domain_quarantined(domain)) << "domain " << domain;
-  }
-}
-
-TEST(Supervisor, SuspendedPartitionPortsAreMasked) {
-  hv::HvConfig config;
-  config.plan.major_frame = 1000;
-  config.plan.per_core.assign(hv::kNumCores, {});
-  config.plan.per_core[0] = {{0, 400, 0, 0}, {500, 400, 1, 0}};
-  hv::PartitionConfig system;
-  system.name = "fdir";
-  system.region = {0x0000, 0x1000};
-  system.system = true;
-  hv::PartitionConfig guest;
-  guest.name = "guest";
-  guest.region = {0x1000, 0x1000};
-  config.partitions = {system, guest};
-  hv::Hypervisor hv(config);
-
-  FdirBus bus(1024);
-  FdirSupervisor supervisor({}, bus);
-  supervisor.attach_hypervisor(&hv, /*system_partition=*/0);
-  noc::FabricConfig fabric_config;
-  noc::Crossbar fabric(fabric_config,
-                       {{"sys", 0, 1, 8, /*owner=*/0},
-                        {"guest", 0, 1, 8, /*owner=*/1}},
-                       {{"e0"}});
-  supervisor.attach_noc(&fabric);
-
-  bus.publish({Layer::kHypervisor, Severity::kExhausted,
-               ErrorCode::kDeadlineExceeded, /*detail=*/1, /*stamp=*/400});
-  supervisor.poll();
-  ASSERT_EQ(hv.partition_state(1), hv::PartitionState::kSuspended);
-
-  // The suspended partition's port rejects cleanly; the system port flows.
-  fabric.bind_workload(0, beats_to(0, 5));
-  fabric.bind_workload(1, beats_to(0, 5));
-  const noc::FabricResult result = fabric.run();
-  ASSERT_TRUE(result.status.ok()) << result.status.to_string();
-  EXPECT_EQ(result.ports[0].completed, 5u);
-  EXPECT_EQ(result.ports[1].completed, 0u);
-  EXPECT_EQ(result.ports[1].rejected_masked, 5u);
 }
 
 // ---------------------------------------------------------------------------
